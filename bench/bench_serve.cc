@@ -142,7 +142,7 @@ streamFeed(std::vector<serve::JobSpec> jobs)
 {
     std::ostringstream feed;
     for (serve::JobSpec &spec : jobs) {
-        spec.tenant = spec.id % 2 ? "a" : "b";
+        spec.tenant.assign(1, spec.id % 2 ? 'a' : 'b');
         if (spec.faultsGiven)
             spec.serviceDeadlineMs = 10.0; // forces several slices
         feed << specLine(spec) << "\n";

@@ -63,7 +63,7 @@ runImpl(const sim::DeviceSpec &spec, const core::WorkloadConfig &cfg)
     };
 
     {
-        // #pragma omp target data map(to:mesh) map(from:state) \
+        // #pragma omp target data map(to:mesh) map(from:state)
         //                         map(alloc:scratch)
         omp::TargetData data(
             rt,

@@ -36,7 +36,7 @@ runImpl(const sim::DeviceSpec &spec, const core::WorkloadConfig &cfg)
 
     ir::KernelDescriptor desc = prob.descriptor();
 
-    // #pragma omp target teams distribute parallel for \
+    // #pragma omp target teams distribute parallel for
     //     num_teams(size/BLOCKSIZE) thread_limit(BLOCKSIZE)
     omp::ForClauses clauses;
     clauses.numTeams = prob.elements / blockSize;

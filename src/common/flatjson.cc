@@ -221,4 +221,53 @@ parseLong(const std::string &text)
     return v;
 }
 
+namespace
+{
+
+/** strtod over all of @p text; nullopt when empty or on junk. */
+std::optional<double>
+parseReal(const std::string &text)
+{
+    if (text.empty())
+        return std::nullopt;
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (end != text.c_str() + text.size())
+        return std::nullopt;
+    return v;
+}
+
+} // namespace
+
+std::optional<double>
+parsePositive(const std::string &text)
+{
+    const auto v = parseReal(text);
+    if (!v || *v <= 0.0)
+        return std::nullopt;
+    return v;
+}
+
+std::optional<double>
+parseFraction(const std::string &text)
+{
+    const auto v = parseReal(text);
+    if (!v || *v < 0.0 || *v > 1.0)
+        return std::nullopt;
+    return v;
+}
+
+std::optional<std::pair<double, double>>
+parseCoreMem(const std::string &text)
+{
+    const size_t colon = text.find(':');
+    if (colon == std::string::npos)
+        return std::nullopt;
+    const auto core = parsePositive(text.substr(0, colon));
+    const auto mem = parsePositive(text.substr(colon + 1));
+    if (!core || !mem)
+        return std::nullopt;
+    return std::make_pair(*core, *mem);
+}
+
 } // namespace hetsim::json

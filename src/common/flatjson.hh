@@ -9,9 +9,10 @@
  * flat, and rejecting structure we would silently ignore keeps a bad
  * input file loud.
  *
- * The strict integer validators (digits only, no sign, no trailing
- * junk, no overflow) live here too, so every line-oriented front-end
- * rejects "3x" or "-1" counts the same way the CLI's parseCount does.
+ * The strict scalar validators (integers: digits only, no sign, no
+ * trailing junk, no overflow; reals: no trailing junk) live here too,
+ * so the CLI and every line-oriented front-end reject "3x" or "-1"
+ * the same way.
  */
 
 #ifndef HETSIM_COMMON_FLATJSON_HH
@@ -20,6 +21,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/types.hh"
 
@@ -58,6 +60,16 @@ std::optional<u64> parseU64(const std::string &text);
 
 /** Strictly parse an (optionally negative) integer. */
 std::optional<long> parseLong(const std::string &text);
+
+/** Strictly parse a number > 0 (strtod syntax, no trailing junk). */
+std::optional<double> parsePositive(const std::string &text);
+
+/** Strictly parse a fraction in [0, 1] (strtod syntax, no junk). */
+std::optional<double> parseFraction(const std::string &text);
+
+/** Strictly parse a "core:mem" pair of positive numbers (MHz). */
+std::optional<std::pair<double, double>>
+parseCoreMem(const std::string &text);
 
 } // namespace hetsim::json
 

@@ -121,6 +121,10 @@ variantSuffix(ir::ModelKind model)
         return "acc";
       case ir::ModelKind::Hc:
         return "hc";
+      case ir::ModelKind::OmpTarget:
+        return "omptarget";
+      case ir::ModelKind::Cuda:
+        return "cuda";
     }
     return "?";
 }

@@ -38,7 +38,7 @@ Topology::scaled(u32 factor) const
         for (const NodeSpec &node : nodes) {
             NodeSpec copy = node;
             if (rep > 0)
-                copy.name += "+" + std::to_string(rep);
+                copy.name.append("+").append(std::to_string(rep));
             out.nodes.push_back(std::move(copy));
         }
     }

@@ -126,7 +126,7 @@ struct BackendCaps
     /** chainEfficiency multiplier past the occupancy limit. */
     double occupancyPenalty = 1.0;
     /** Irregular-kernel device sensitivity (empty span = none). */
-    std::span<const IrregularOverride> irregular;
+    std::span<const IrregularOverride> irregular = {};
     /** Codegen note (tiled path / default path). */
     const char *noteTiled = nullptr;
     const char *note = "";

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -52,29 +51,6 @@ backendByName(const std::string &name)
 
 namespace
 {
-
-/** Parse a positive "core:mem" MHz pair. */
-std::optional<sim::FreqDomain>
-parseFreqPair(const std::string &text)
-{
-    size_t colon = text.find(':');
-    if (colon == std::string::npos)
-        return std::nullopt;
-    auto positive = [](const std::string &part) -> std::optional<double> {
-        if (part.empty())
-            return std::nullopt;
-        char *end = nullptr;
-        double v = std::strtod(part.c_str(), &end);
-        if (end != part.c_str() + part.size() || v <= 0.0)
-            return std::nullopt;
-        return v;
-    };
-    auto core = positive(text.substr(0, colon));
-    auto mem = positive(text.substr(colon + 1));
-    if (!core || !mem)
-        return std::nullopt;
-    return sim::FreqDomain{*core, *mem};
-}
 
 /** JSON string escaper for the result writer. */
 std::string
@@ -195,11 +171,11 @@ parseJobLine(const std::string &line, size_t lineno, std::string &error)
             std::string text;
             if (!wantString(text))
                 return fail("\"freq\" wants a \"core:mem\" string");
-            auto freq = parseFreqPair(text);
+            const auto freq = json::parseCoreMem(text);
             if (!freq)
                 return fail("\"freq\" wants positive core:mem MHz, "
                             "got '" + text + "'");
-            spec.freq = *freq;
+            spec.freq = {freq->first, freq->second};
         } else if (key == "faults") {
             std::string text;
             if (!wantString(text))
@@ -308,7 +284,7 @@ jobClassKey(const JobSpec &spec)
         key += "coexec:" + spec.policy;
         // Canonicalized so "ocl" and "opencl" share one cost class.
         if (auto backend = backendByName(spec.backend))
-            key += ":" + std::string(ir::toString(*backend));
+            key.append(":").append(ir::toString(*backend));
     } else {
         key += spec.model;
     }

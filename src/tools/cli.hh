@@ -2,71 +2,18 @@
  * @file
  * Command-line driver for the hetsim workload suite.
  *
- *   hetsim list
- *   hetsim backends
- *   hetsim run --app lulesh --model opencl --device dgpu
- *              [--scale 1.0] [--dp] [--functional] [--freq 925:1500]
- *              [--stats]
- *   hetsim compare --app xsbench --device apu [--scale 1.0] [--dp]
- *   hetsim sweep --app comd [--scale 0.5]
- *   hetsim coexec --app readmem --devices cpu+dgpu
- *                 [--backend hc|ocl|amp|acc|omp|cuda]
- *                 [--policy adaptive] [--chunk N] [--scale 1.0]
- *                 [--dp] [--functional]
- *   hetsim breakdown --app xsbench --device dgpu [--model opencl]
- *                 [--devices cpu+dgpu] [--scale 1.0] [--dp]
- *   hetsim profile --app xsbench --device dgpu [--model opencl]
- *                 [--devices cpu+dgpu] [--scale 1.0] [--dp]
- *                 [--profile-out report.json]
- *                 [--observations-out obs.jsonl]
- *   hetsim batch --jobs jobs.jsonl [--results-out results.jsonl]
- *                 [--workers 4] [--queue-cap N] [--deadline-ms N]
- *                 [--admission reject|shed|block]
- *   hetsim serve --shots 16 [--workers 4] [--queue-cap N]
- *                 [--deadline-ms N] [--admission reject|shed|block]
- *                 [--scale 1.0] [--results-out results.jsonl]
- *   hetsim serve --stream [--workers 4] [--tenants a:3,b:1]
- *                 [--quota a:10] [--service-deadline-ms N]
- *                 [--max-preemptions N] [--autoscale]
- *                 [--min-workers N] [--max-workers N]
- *                 [--results-out results.jsonl]  < jobs.jsonl
- *   hetsim fleet [--topology FILE | --nodes N] [--njobs N]
- *                 [--placement first-fit|least-loaded|locality]
- *                 [--rate J/S] [--slo-ms N] [--node-fail-rate F]
- *                 [--seed N] [--sweep] [--inject-faults spec]
- *                 [--model-in FILE] [--model-out FILE]
- *                 [--no-surrogate]
- *   hetsim predict --fit obs.jsonl | --model-in model.json
- *                 [--model-out model.json] [--kernel K --items N]
- *                 [--device d] [--model m] [--freq core:mem]
- *                 [--sweep] [--devices d1+d2] [--dp]
- *
- * Every verb accepts --trace-out FILE (Chrome trace-event JSON for
- * chrome://tracing / Perfetto), --metrics-out FILE (metrics registry
- * dump as JSON), --profile-out FILE (self-contained profile report:
- * critical-path attribution, bottleneck label, observation records,
- * rollups, flight records), and --observations-out FILE
- * (per-signature observation records as JSONL).  The fleet verb
- * additionally accepts --trace-sample K to bound trace memory.
- *
- * Every verb also accepts --power-model FILE (per-device idle/busy
- * wattages as JSONL, replacing the built-in table) and --energy-out
- * FILE (the run's energy report as JSON); energy-to-solution columns
- * appear on run/compare/coexec/batch/serve/fleet output.
- *
- * The parsing and command logic live here (unit-testable); main.cc is
- * a thin wrapper.
+ * The verbs and options are documented once, in usage() (`hetsim`
+ * with no arguments prints it).  Parsing and command logic live here
+ * so they are unit-testable; hetsim_main.cc is a thin wrapper.
  */
 
 #ifndef HETSIM_TOOLS_CLI_HH
 #define HETSIM_TOOLS_CLI_HH
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/workload.hh"
 #include "fault/fault.hh"
 #include "sim/device.hh"
 
@@ -158,15 +105,6 @@ struct Args
 
 /** Parse argv (excluding argv[0]); sets Args::error on failure. */
 Args parse(const std::vector<std::string> &argv);
-
-/** @return the workload named by its CLI alias, or null. */
-std::unique_ptr<core::Workload> workloadByName(const std::string &name);
-
-/** @return the model kind for a CLI alias, if valid. */
-std::optional<core::ModelKind> modelByName(const std::string &name);
-
-/** @return the device spec for a CLI alias (dgpu/apu/cpu), if valid. */
-std::optional<sim::DeviceSpec> deviceByName(const std::string &name);
 
 /** Execute a parsed command; output to @p os. @return exit code. */
 int execute(const Args &args, std::ostream &os);

@@ -8,9 +8,13 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 
+#include "core/workload.hh"
 #include "tools/cli.hh"
 
 namespace hetsim::cli
@@ -140,6 +144,221 @@ TEST(CliParse, StrictIntegerFlagsRejectJunk)
     EXPECT_FALSE(parse({"coexec", "--fail-device", ""}).error.empty());
 }
 
+// --- Parse contract ----------------------------------------------------
+
+/**
+ * One option's parse-error contract: the exact Args::error for the
+ * option with no value after it, and for one bad value (nullptr when
+ * the option takes any text).  A switch "misses" nothing, so its
+ * missing-value error is whatever the bare switch produces on `run`.
+ */
+struct GoldenFlag
+{
+    const char *flag;
+    const char *missing;
+    const char *bad;
+    const char *badError;
+};
+
+const GoldenFlag kGoldenFlags[] = {
+    {"--app", "--app needs a value", nullptr, nullptr},
+    {"--model", "--model needs a value", nullptr, nullptr},
+    {"--device", "--device needs a value", nullptr, nullptr},
+    {"--scale", "--scale needs a value", "x",
+     "--scale wants a positive number, got 'x'"},
+    {"--devices", "--devices needs a value", nullptr, nullptr},
+    {"--backend", "--backend needs a value", "x",
+     "--backend wants a device backend (ocl, amp, acc, hc, omp, cuda), "
+     "got 'x'"},
+    {"--power-model", "--power-model needs a value", "",
+     "--power-model wants a file path"},
+    {"--energy-out", "--energy-out needs a value", "",
+     "--energy-out wants a file path"},
+    {"--trace-out", "--trace-out needs a value", "",
+     "--trace-out wants a file path"},
+    {"--metrics-out", "--metrics-out needs a value", "",
+     "--metrics-out wants a file path"},
+    {"--profile-out", "--profile-out needs a value", "",
+     "--profile-out wants a file path"},
+    {"--observations-out", "--observations-out needs a value", "",
+     "--observations-out wants a file path"},
+    {"--trace-sample", "--trace-sample needs a value", "x",
+     "--trace-sample wants a positive node count, got 'x'"},
+    {"--policy", "--policy needs a value", nullptr, nullptr},
+    {"--chunk", "--chunk needs a value", "x",
+     "--chunk wants a positive item count, got 'x'"},
+    {"--min-chunk", "--min-chunk needs a value", "x",
+     "--min-chunk wants a positive item count, got 'x'"},
+    {"--inject-faults", "--inject-faults needs a value", "x",
+     "--inject-faults wants kind:rate pairs (transfer|launch|stall, "
+     "rate in [0,1]), got 'x'"},
+    {"--fault-seed", "--fault-seed needs a value", "x",
+     "--fault-seed wants an unsigned integer, got 'x'"},
+    {"--retry-max", "--retry-max needs a value", "x",
+     "--retry-max wants a retry budget in [0, 64], got 'x'"},
+    {"--fail-device", "--fail-device needs a value", "",
+     "--fail-device wants a device alias"},
+    {"--freq", "--freq needs a value", "x",
+     "--freq wants core:mem in positive MHz, got 'x'"},
+    {"--jobs", "--jobs needs a value", "", "--jobs wants a file path"},
+    {"--results-out", "--results-out needs a value", "",
+     "--results-out wants a file path"},
+    {"--workers", "--workers needs a value", "x",
+     "--workers wants a worker count, got 'x'"},
+    {"--queue-cap", "--queue-cap needs a value", "x",
+     "--queue-cap wants a job count (0 = unbounded), got 'x'"},
+    {"--deadline-ms", "--deadline-ms needs a value", "x",
+     "--deadline-ms wants milliseconds (0 = none), got 'x'"},
+    {"--shots", "--shots needs a value", "x",
+     "--shots wants a positive job count, got 'x'"},
+    {"--admission", "--admission needs a value", "x",
+     "--admission wants reject, shed, or block, got 'x'"},
+    {"--stream",
+     "--stream is a serve-verb flag (hetsim serve --stream < jobs.jsonl)",
+     nullptr, nullptr},
+    {"--tenants", "--tenants needs a value", "x",
+     "--tenants: entry 'x' is not of the form name:value"},
+    {"--quota", "--quota needs a value", "x",
+     "--quota: entry 'x' is not of the form name:value"},
+    {"--service-deadline-ms", "--service-deadline-ms needs a value", "x",
+     "--service-deadline-ms wants simulated milliseconds (0 = none), "
+     "got 'x'"},
+    {"--max-preemptions", "--max-preemptions needs a value", "x",
+     "--max-preemptions wants a preemption count, got 'x'"},
+    {"--autoscale", "", nullptr, nullptr},
+    {"--min-workers", "--min-workers needs a value", "x",
+     "--min-workers wants a positive worker count, got 'x'"},
+    {"--max-workers", "--max-workers needs a value", "x",
+     "--max-workers wants a positive worker count (omit for --workers), "
+     "got 'x'"},
+    {"--topology", "--topology needs a value", "",
+     "--topology wants a file path"},
+    {"--nodes", "--nodes needs a value", "x",
+     "--nodes wants a positive node count, got 'x'"},
+    {"--njobs", "--njobs needs a value", "x",
+     "--njobs wants a positive job count, got 'x'"},
+    {"--placement", "--placement needs a value", "x",
+     "--placement wants first-fit, least-loaded, or locality, got 'x'"},
+    {"--rate", "--rate needs a value", "x",
+     "--rate wants a positive jobs/sec arrival rate, got 'x'"},
+    {"--slo-ms", "--slo-ms needs a value", "x",
+     "--slo-ms wants milliseconds (0 = none), got 'x'"},
+    {"--node-fail-rate", "--node-fail-rate needs a value", "x",
+     "--node-fail-rate wants a fraction in [0, 1], got 'x'"},
+    {"--seed", "--seed needs a value", "x",
+     "--seed wants an unsigned integer, got 'x'"},
+    {"--model-in", "--model-in needs a value", "",
+     "--model-in wants a file path"},
+    {"--model-out", "--model-out needs a value", "",
+     "--model-out wants a file path"},
+    {"--fit", "--fit needs a value", "",
+     "--fit wants an observation JSONL file path"},
+    {"--kernel", "--kernel needs a value", "",
+     "--kernel wants a kernel name"},
+    {"--items", "--items needs a value", "x",
+     "--items wants a positive item count, got 'x'"},
+    {"--predict-admission",
+     "--predict-admission needs --model-in FILE (recorded job costs to "
+     "predict from)",
+     nullptr, nullptr},
+    {"--no-surrogate", "", nullptr, nullptr},
+    {"--sweep", "", nullptr, nullptr},
+    {"--dp", "", nullptr, nullptr},
+    {"--functional", "", nullptr, nullptr},
+    {"--no-timing-cache", "", nullptr, nullptr},
+    {"--stats", "", nullptr, nullptr},
+    {"--kernels", "", nullptr, nullptr},
+};
+
+TEST(CliGolden, ParseErrors)
+{
+    EXPECT_EQ(std::size(kGoldenFlags), 57u);
+    for (const GoldenFlag &g : kGoldenFlags) {
+        EXPECT_EQ(parse({"run", g.flag}).error, g.missing) << g.flag;
+        if (g.bad != nullptr) {
+            EXPECT_EQ(parse({"run", g.flag, g.bad}).error, g.badError)
+                << g.flag;
+        }
+    }
+
+    // Boundary values on the flags with a range.
+    const GoldenFlag bounds[] = {
+        {"--chunk", nullptr, "0",
+         "--chunk wants a positive item count, got '0'"},
+        {"--retry-max", nullptr, "65",
+         "--retry-max wants a retry budget in [0, 64], got '65'"},
+        {"--node-fail-rate", nullptr, "1.5",
+         "--node-fail-rate wants a fraction in [0, 1], got '1.5'"},
+        {"--scale", nullptr, "0",
+         "--scale wants a positive number, got '0'"},
+        {"--freq", nullptr, "925",
+         "--freq wants core:mem in positive MHz, got '925'"},
+        {"--tenants", nullptr, "",
+         "--tenants: empty entry in ''"},
+        {"--seed", nullptr, "99999999999999999999999",
+         "--seed wants an unsigned integer, got "
+         "'99999999999999999999999'"},
+    };
+    for (const GoldenFlag &g : bounds)
+        EXPECT_EQ(parse({"run", g.flag, g.bad}).error, g.badError)
+            << g.flag << " " << g.bad;
+
+    // Commands and unknown options.
+    EXPECT_EQ(parse({}).error, "missing command");
+    EXPECT_EQ(parse({"frobnicate"}).error, "unknown command 'frobnicate'");
+    EXPECT_EQ(parse({"run", "--wat"}).error, "unknown option '--wat'");
+    EXPECT_EQ(parse({"run", "readmem"}).error, "unknown option 'readmem'");
+    // The first bad option wins.
+    EXPECT_EQ(parse({"run", "--scale", "x", "--wat"}).error,
+              "--scale wants a positive number, got 'x'");
+
+    // The five cross-option checks, in the order they run.
+    EXPECT_EQ(parse({"serve", "--predict-admission", "--stream"}).error,
+              "--predict-admission needs --model-in FILE (recorded job "
+              "costs to predict from)");
+    EXPECT_EQ(parse({"batch", "--stream", "--energy-out", "e"}).error,
+              "--stream is a serve-verb flag (hetsim serve --stream < "
+              "jobs.jsonl)");
+    EXPECT_EQ(parse({"serve", "--energy-out", "e.json"}).error,
+              "--energy-out writes one run's energy report; it is a "
+              "run/coexec-verb flag");
+    EXPECT_EQ(parse({"serve", "--autoscale", "--min-workers", "8",
+                     "--max-workers", "2"})
+                  .error,
+              "--min-workers exceeds the autoscale ceiling "
+              "(--max-workers, default --workers)");
+    EXPECT_EQ(parse({"serve", "--autoscale", "--min-workers", "5"}).error,
+              "--min-workers exceeds the autoscale ceiling "
+              "(--max-workers, default --workers)");
+    EXPECT_EQ(parse({"predict"}).error,
+              "predict needs --fit OBS_JSONL or --model-in FILE");
+    for (const char *verb :
+         {"list", "backends", "run", "compare", "sweep", "coexec",
+          "breakdown", "profile", "batch", "serve", "fleet"})
+        EXPECT_EQ(parse({verb}).error, "") << verb;
+}
+
+TEST(CliParse, EveryUsageFlagParses)
+{
+    std::ostringstream os;
+    usage(os);
+    const std::string text = os.str();
+    std::set<std::string> flags;
+    const std::regex flagToken("--[a-z][a-z-]*");
+    for (auto it = std::sregex_iterator(text.begin(), text.end(),
+                                        flagToken);
+         it != std::sregex_iterator(); ++it)
+        flags.insert(it->str());
+    for (const std::string &flag : flags)
+        EXPECT_EQ(parse({"run", flag}).error.find("unknown option"),
+                  std::string::npos)
+            << flag;
+    // And the other way: every option the parser knows is documented.
+    for (const GoldenFlag &g : kGoldenFlags)
+        EXPECT_EQ(flags.count(g.flag), 1u) << g.flag;
+    EXPECT_EQ(flags.size(), std::size(kGoldenFlags));
+}
+
 TEST(CliExecute, CoexecFailDeviceDegradesAndValidates)
 {
     std::ostringstream os;
@@ -167,16 +386,16 @@ TEST(CliExecute, CoexecAllDevicesDeadExitsCleanly)
 
 TEST(CliLookups, Aliases)
 {
-    EXPECT_NE(workloadByName("lulesh"), nullptr);
-    EXPECT_EQ(workloadByName("nope"), nullptr);
-    EXPECT_EQ(modelByName("amp"), core::ModelKind::CppAmp);
-    EXPECT_EQ(modelByName("ocl"), core::ModelKind::OpenCl);
-    EXPECT_EQ(modelByName("omptarget"), core::ModelKind::OmpTarget);
-    EXPECT_EQ(modelByName("cuda"), core::ModelKind::Cuda);
-    EXPECT_FALSE(modelByName("sycl").has_value());
-    ASSERT_TRUE(deviceByName("apu").has_value());
-    EXPECT_TRUE(deviceByName("apu")->zeroCopy);
-    EXPECT_FALSE(deviceByName("fpga").has_value());
+    EXPECT_NE(core::workloadByName("lulesh"), nullptr);
+    EXPECT_EQ(core::workloadByName("nope"), nullptr);
+    EXPECT_EQ(core::modelByName("amp"), core::ModelKind::CppAmp);
+    EXPECT_EQ(core::modelByName("ocl"), core::ModelKind::OpenCl);
+    EXPECT_EQ(core::modelByName("omptarget"), core::ModelKind::OmpTarget);
+    EXPECT_EQ(core::modelByName("cuda"), core::ModelKind::Cuda);
+    EXPECT_FALSE(core::modelByName("sycl").has_value());
+    ASSERT_TRUE(sim::deviceByName("apu").has_value());
+    EXPECT_TRUE(sim::deviceByName("apu")->zeroCopy);
+    EXPECT_FALSE(sim::deviceByName("fpga").has_value());
 }
 
 TEST(CliExecute, ListPrintsEveryApp)
@@ -417,6 +636,13 @@ TEST(CliParse, ServeIntegerFlagsRejectJunk)
         {"--deadline-ms", "-9"}, {"--shots", "0"},
         {"--shots", "ten"},      {"--scale", "big"},
         {"--scale", "1x"},
+        // Worker and preemption counts are u32 in the server config:
+        // larger values are rejected, never narrowed.
+        {"--workers", "4294967296"},
+        {"--workers", "4294967297"},
+        {"--min-workers", "4294967296"},
+        {"--max-workers", "4294967296"},
+        {"--max-preemptions", "4294967296"},
     };
     for (const FlagCase &c : cases) {
         Args args = parse({"serve", c.flag, c.bad});
@@ -426,6 +652,12 @@ TEST(CliParse, ServeIntegerFlagsRejectJunk)
     }
     // --workers 0 parses; the server reports the structured error.
     EXPECT_TRUE(parse({"serve", "--workers", "0"}).error.empty());
+    EXPECT_EQ(parse({"serve", "--workers", "4294967296"}).error,
+              "--workers wants a worker count, got '4294967296'");
+    Args widest = parse({"serve", "--workers", "4294967295",
+                         "--max-preemptions", "4294967295"});
+    EXPECT_TRUE(widest.error.empty()) << widest.error;
+    EXPECT_EQ(widest.workers, 4294967295u);
     Args bad = parse({"batch", "--admission", "greedy"});
     EXPECT_FALSE(bad.error.empty());
     EXPECT_NE(bad.error.find("--admission"), std::string::npos);

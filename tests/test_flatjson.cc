@@ -88,5 +88,28 @@ TEST(FlatJson, MalformedNumbersAreRejected)
     EXPECT_FALSE(parseError("0x10").empty());
 }
 
+// The strict scalar parsers the CLI, the job loader and the fault spec
+// share: the whole text must be the number, and the range is checked.
+TEST(FlatJson, StrictRealParsers)
+{
+    EXPECT_EQ(parsePositive("0.5"), 0.5);
+    EXPECT_EQ(parsePositive("2e3"), 2000.0);
+    for (const char *bad : {"", "0", "-1", "1x", "x", "1 "})
+        EXPECT_FALSE(parsePositive(bad).has_value()) << bad;
+
+    EXPECT_EQ(parseFraction("0"), 0.0);
+    EXPECT_EQ(parseFraction("1"), 1.0);
+    for (const char *bad : {"", "-0.1", "1.5", "0.5x"})
+        EXPECT_FALSE(parseFraction(bad).has_value()) << bad;
+
+    const auto freq = parseCoreMem("925:1500");
+    ASSERT_TRUE(freq.has_value());
+    EXPECT_EQ(freq->first, 925.0);
+    EXPECT_EQ(freq->second, 1500.0);
+    for (const char *bad : {"", "925", "925:", ":1500", "0:810",
+                            "925:-1", "a:b", "925:1500x"})
+        EXPECT_FALSE(parseCoreMem(bad).has_value()) << bad;
+}
+
 } // namespace
 } // namespace hetsim::json

@@ -219,8 +219,8 @@ TEST(Tracer, RingBufferDropsOldestAndCounts)
     tracer.setEnabled(true);
     TrackId track = tracer.track("dev/compute");
     for (int i = 0; i < 10; ++i)
-        tracer.span(track, "k" + std::to_string(i), "compute",
-                    double(i), 1.0);
+        tracer.span(track, std::string("k").append(std::to_string(i)),
+                    "compute", double(i), 1.0);
     EXPECT_EQ(tracer.size(), 4u);
     EXPECT_EQ(tracer.dropped(), 6u);
     auto events = tracer.snapshot();
@@ -236,8 +236,8 @@ TEST(Tracer, SetCapacityShrinksFromTheFront)
     tracer.setEnabled(true);
     TrackId track = tracer.track("dev/compute");
     for (int i = 0; i < 8; ++i)
-        tracer.span(track, "k" + std::to_string(i), "compute",
-                    double(i), 1.0);
+        tracer.span(track, std::string("k").append(std::to_string(i)),
+                    "compute", double(i), 1.0);
     tracer.setCapacity(2);
     EXPECT_EQ(tracer.capacity(), 2u);
     auto events = tracer.snapshot();

@@ -52,7 +52,8 @@ TEST(Sloc, VariantFilesExistAndCount)
         for (ir::ModelKind model :
              {ir::ModelKind::Serial, ir::ModelKind::OpenMp,
               ir::ModelKind::OpenCl, ir::ModelKind::CppAmp,
-              ir::ModelKind::OpenAcc}) {
+              ir::ModelKind::OpenAcc, ir::ModelKind::Hc,
+              ir::ModelKind::OmpTarget, ir::ModelKind::Cuda}) {
             int lines = SlocManifest::sloc(app, model);
             EXPECT_GT(lines, 10) << app << " "
                                  << ir::toString(model);

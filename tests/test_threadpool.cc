@@ -228,7 +228,7 @@ TEST(ThreadPool, ExceptionWhileChunksAreStolen)
                         if (i < 64) {
                             volatile u64 sink = 0;
                             for (u64 k = 0; k < 2000; ++k)
-                                sink += k;
+                                sink = sink + k;
                         }
                         hits[i].fetch_add(1,
                                           std::memory_order_relaxed);
@@ -269,7 +269,7 @@ TEST(ThreadPool, StealsPreserveExactCoverageUnderImbalance)
                 if (i < 32) {
                     volatile u64 sink = 0;
                     for (u64 k = 0; k < 20000; ++k)
-                        sink += k;
+                        sink = sink + k;
                 }
                 hits[i].fetch_add(1, std::memory_order_relaxed);
             }
