@@ -20,8 +20,8 @@
  *                            BENCH_sim_perf.json in the CWD).
  *   --check-baseline <path>  compare against a committed baseline
  *                            JSON; exit non-zero if any scenario's
- *                            cached wall-clock regressed more than 2x
- *                            (CI perf-smoke gate).
+ *                            cached or uncached wall-clock regressed
+ *                            more than 2x (CI perf-smoke gate).
  */
 
 #include <chrono>
@@ -180,11 +180,11 @@ writeJson(const std::string &path, double scale,
 
 /**
  * Minimal reader for the JSON this benchmark writes: pulls the
- * "wall_on_s" value out of each scenario object by name.  Not a
- * general JSON parser - the baseline file is under our control.
+ * @p key value (e.g. "wall_on_s") out of each scenario object by name.
+ * Not a general JSON parser - the baseline file is under our control.
  */
 std::map<std::string, double>
-readBaseline(const std::string &path)
+readBaseline(const std::string &path, const std::string &key)
 {
     std::ifstream is(path);
     if (!is) {
@@ -195,17 +195,17 @@ readBaseline(const std::string &path)
     buf << is.rdbuf();
     const std::string text = buf.str();
 
+    const std::string field = "\"" + key + "\": ";
     std::map<std::string, double> wall;
     size_t pos = 0;
     while ((pos = text.find("\"name\": \"", pos)) != std::string::npos) {
         pos += std::strlen("\"name\": \"");
         const size_t name_end = text.find('"', pos);
         const std::string name = text.substr(pos, name_end - pos);
-        const size_t key = text.find("\"wall_on_s\": ", name_end);
-        if (key == std::string::npos)
+        const size_t at = text.find(field, name_end);
+        if (at == std::string::npos)
             break;
-        wall[name] =
-            std::atof(text.c_str() + key + std::strlen("\"wall_on_s\": "));
+        wall[name] = std::atof(text.c_str() + at + field.size());
         pos = name_end;
     }
     return wall;
@@ -216,26 +216,39 @@ int
 checkBaseline(const std::string &path,
               const std::vector<ScenarioResult> &results)
 {
-    const std::map<std::string, double> baseline = readBaseline(path);
     // Absolute slack absorbs scheduler noise on short scenarios; the
     // gate is meant to catch algorithmic regressions (the cached path
-    // silently falling back to full re-simulation), not jitter.
+    // silently falling back to full re-simulation, or the uncached
+    // path - almost all cache-model probing - slowing down), not
+    // jitter.
     const double slack = 0.25;
+    const struct
+    {
+        const char *key;
+        double ScenarioResult::*wall;
+    } gates[] = {{"wall_on_s", &ScenarioResult::wallOnSec},
+                 {"wall_off_s", &ScenarioResult::wallOffSec}};
     int failures = 0;
-    for (const auto &r : results) {
-        auto it = baseline.find(r.name);
-        if (it == baseline.end()) {
-            std::printf("BASELINE  %-28s no entry (new scenario, ok)\n",
-                        r.name.c_str());
-            continue;
+    for (const auto &gate : gates) {
+        const std::map<std::string, double> baseline =
+            readBaseline(path, gate.key);
+        for (const auto &r : results) {
+            auto it = baseline.find(r.name);
+            if (it == baseline.end()) {
+                std::printf("BASELINE  %-28s %-10s no entry (new "
+                            "scenario, ok)\n",
+                            r.name.c_str(), gate.key);
+                continue;
+            }
+            const double limit = 2.0 * it->second + slack;
+            const bool ok = r.*gate.wall <= limit;
+            std::printf("BASELINE  %-28s %-10s %8.3fs vs limit %8.3fs  "
+                        "%s\n",
+                        r.name.c_str(), gate.key, r.*gate.wall, limit,
+                        ok ? "ok" : "REGRESSED");
+            if (!ok)
+                ++failures;
         }
-        const double limit = 2.0 * it->second + slack;
-        const bool ok = r.wallOnSec <= limit;
-        std::printf("BASELINE  %-28s %8.3fs vs limit %8.3fs  %s\n",
-                    r.name.c_str(), r.wallOnSec, limit,
-                    ok ? "ok" : "REGRESSED");
-        if (!ok)
-            ++failures;
     }
     return failures;
 }

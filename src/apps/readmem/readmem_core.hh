@@ -12,6 +12,8 @@
 #ifndef HETSIM_APPS_READMEM_READMEM_CORE_HH
 #define HETSIM_APPS_READMEM_READMEM_CORE_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "apps/appsupport.hh"
@@ -40,9 +42,15 @@ struct Problem
         elements = static_cast<u64>(static_cast<double>(baseElements) *
                                     scale);
         elements = std::max<u64>(elements / blockSize, 1) * blockSize;
+        // in[i] = (i % 97) * 0.125: write one period, then double the
+        // filled prefix (a period multiple) until the buffer is full.
         in.resize(elements);
-        for (u64 i = 0; i < elements; ++i)
-            in[i] = static_cast<Real>((i % 97) * 0.125);
+        const u64 period = std::min<u64>(97, elements);
+        for (u64 i = 0; i < period; ++i)
+            in[i] = static_cast<Real>(i * 0.125);
+        for (u64 filled = period; filled < elements; filled *= 2)
+            std::copy_n(in.begin(), std::min(filled, elements - filled),
+                        in.begin() + static_cast<std::ptrdiff_t>(filled));
         out.assign(elements / blockSize, Real(0));
     }
 

@@ -243,7 +243,7 @@ std::optional<double>
 parsePositive(const std::string &text)
 {
     const auto v = parseReal(text);
-    if (!v || *v <= 0.0)
+    if (!v || !std::isfinite(*v) || *v <= 0.0)
         return std::nullopt;
     return v;
 }
@@ -252,7 +252,7 @@ std::optional<double>
 parseFraction(const std::string &text)
 {
     const auto v = parseReal(text);
-    if (!v || *v < 0.0 || *v > 1.0)
+    if (!v || !std::isfinite(*v) || *v < 0.0 || *v > 1.0)
         return std::nullopt;
     return v;
 }

@@ -61,10 +61,12 @@ std::optional<u64> parseU64(const std::string &text);
 /** Strictly parse an (optionally negative) integer. */
 std::optional<long> parseLong(const std::string &text);
 
-/** Strictly parse a number > 0 (strtod syntax, no trailing junk). */
+/** Strictly parse a finite number > 0 (strtod syntax, no trailing
+ *  junk; inf, nan and values that overflow to inf are rejected). */
 std::optional<double> parsePositive(const std::string &text);
 
-/** Strictly parse a fraction in [0, 1] (strtod syntax, no junk). */
+/** Strictly parse a fraction in [0, 1] (strtod syntax, no junk,
+ *  no nan). */
 std::optional<double> parseFraction(const std::string &text);
 
 /** Strictly parse a "core:mem" pair of positive numbers (MHz). */

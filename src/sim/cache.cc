@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -23,65 +24,68 @@ SetAssocCache::SetAssocCache(u64 size_bytes, u32 line_bytes, u32 assoc)
     numSets = static_cast<u32>(size_bytes / (u64(line_bytes) * assoc));
     if (numSets == 0)
         fatal("cache has zero sets");
-    ways.resize(u64(numSets) * assoc);
+    pow2Sets = std::has_single_bit(numSets);
+    setMask = pow2Sets ? numSets - 1 : 0;
+    lines.assign(u64(numSets) * assoc, emptySlot);
 }
 
-SetAssocCache::Way *
-SetAssocCache::probeLine(u64 line, bool &hit)
+// Each set lists its lines MRU first, so a hit moves the line to the
+// front and a miss drops the tail slot (the LRU line, or an empty slot
+// while the set is not full) and inserts in front.  That is the same
+// victim as "an invalid way, else the least recently used one", so
+// every outcome matches a timestamped true-LRU cache.
+bool
+SetAssocCache::probe(u64 line)
 {
-    u32 set = static_cast<u32>(line % numSets);
-    u64 tag = line / numSets;
+    const u64 set_index = setIndex(line);
+    u64 *set = &lines[set_index * assoc];
+    if (line == emptySlot) [[unlikely]]
+        return probeTopLine(set);
+    if (set[0] == line)
+        return true;
 
-    Way *base = &ways[u64(set) * assoc];
-    Way *victim = base;
-    for (u32 w = 0; w < assoc; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == tag) {
-            way.lastUse = useClock;
-            hit = true;
-            return &way;
-        }
-        if (!way.valid) {
-            victim = &way;
-        } else if (victim->valid && way.lastUse < victim->lastUse) {
-            victim = &way;
-        }
+    u32 w = 1;
+    while (w < assoc && set[w] != line)
+        ++w;
+    if (w < assoc) {
+        std::memmove(set + 1, set, w * sizeof(u64));
+        set[0] = line;
+        return true;
     }
 
     ++numMisses;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUse = useClock;
-    hit = false;
-    return victim;
+    // The tail is line emptySlot itself only in that line's set, and
+    // only when every slot before it holds another line.
+    if (topLineResident && set_index == setIndex(emptySlot) &&
+        std::find(set, set + assoc, emptySlot) == set + assoc - 1)
+        topLineResident = false;
+    std::memmove(set + 1, set, (assoc - 1) * sizeof(u64));
+    set[0] = line;
+    return false;
 }
 
-void
-SetAssocCache::probeRun(u64 line, u64 run)
+bool
+SetAssocCache::probeTopLine(u64 *set)
 {
-    // One real LRU probe; the run's remaining accesses would all hit
-    // the just-touched MRU line, so only the counters advance and the
-    // line's stamp moves to the run's final clock tick - bit-identical
-    // to the serial access() loop.
-    ++numAccesses;
-    ++useClock;
-    bool hit;
-    Way *way = probeLine(line, hit);
-    if (run > 1) {
-        numAccesses += run - 1;
-        useClock += run - 1;
-        way->lastUse = useClock;
-    }
+    // Occupied slots form a prefix of the set, so when the line is
+    // resident it is the first slot reading emptySlot.
+    const u64 w = topLineResident
+                      ? u64(std::find(set, set + assoc, emptySlot) - set)
+                      : assoc - 1;
+    std::memmove(set + 1, set, w * sizeof(u64));
+    set[0] = emptySlot;
+    if (topLineResident)
+        return true;
+    ++numMisses;
+    topLineResident = true;
+    return false;
 }
 
 bool
 SetAssocCache::access(Addr addr)
 {
     ++numAccesses;
-    ++useClock;
-    bool hit;
-    probeLine(addr >> lineShift, hit);
-    return hit;
+    return probe(addr >> lineShift);
 }
 
 void
@@ -89,10 +93,15 @@ SetAssocCache::accessRange(Addr addr, u64 bytes)
 {
     if (bytes == 0)
         return;
-    Addr first = addr >> lineShift;
-    Addr last = (addr + bytes - 1) >> lineShift;
-    for (Addr line = first; line <= last; ++line)
+    const Addr first = addr >> lineShift;
+    const Addr last = (addr + bytes - 1) >> lineShift;
+    if (last < first) // the range wraps past address ~0
+        return;
+    for (Addr line = first;; ++line) {
         access(line << lineShift);
+        if (line == last) // not line <= last: the top line would wrap
+            break;
+    }
 }
 
 void
@@ -118,9 +127,10 @@ SetAssocCache::accessStream(Addr start, u64 stride, u64 count)
         const u64 line = addr >> lineShift;
         u64 run = count - i;
         if (stride > 0) {
-            // Accesses remaining inside this line at this stride.
-            const Addr line_end = (line + 1) << lineShift;
-            run = std::min(run, (line_end - addr + stride - 1) / stride);
+            // Accesses remaining inside this line at this stride (a
+            // ceiling division that cannot overflow for huge strides).
+            const u64 left = ((line + 1) << lineShift) - addr;
+            run = std::min(run, left / stride + (left % stride != 0));
         }
         probeRun(line, run);
         addr += stride * run;
@@ -131,11 +141,10 @@ SetAssocCache::accessStream(Addr start, u64 stride, u64 count)
 void
 SetAssocCache::reset()
 {
-    for (auto &way : ways)
-        way = Way{};
+    std::fill(lines.begin(), lines.end(), emptySlot);
+    topLineResident = false;
     numAccesses = 0;
     numMisses = 0;
-    useClock = 0;
 }
 
 } // namespace hetsim::sim

@@ -52,8 +52,8 @@ class SetAssocCache
      * called once per element.  Counters and LRU state end up
      * bit-identical to the serial loop; consecutive same-line runs are
      * collapsed into one LRU probe (a run's trailing accesses are
-     * guaranteed hits on the just-touched MRU line, so only the
-     * bookkeeping needs to advance).
+     * guaranteed hits on the just-touched MRU line, which leave the
+     * recency order as it is, so only the counters advance).
      */
     void accessBatch(const Addr *addrs, u64 count);
 
@@ -88,29 +88,46 @@ class SetAssocCache
     u32 lineBytes() const { return lineSize; }
 
   private:
-    struct Way
-    {
-        u64 tag = ~0ULL;
-        u64 lastUse = 0;
-        bool valid = false;
-    };
+    /** Marker of an empty slot.  It is also the line number of address
+     *  ~0 when lines are one byte wide; topLineResident tells the two
+     *  apart. */
+    static constexpr u64 emptySlot = ~0ULL;
 
-    /** One LRU probe of @p line (useClock already advanced).
-     *  @return the way now holding the line; @p hit reports the
-     *  outcome. */
-    Way *probeLine(u64 line, bool &hit);
+    u64
+    setIndex(u64 line) const
+    {
+        return pow2Sets ? (line & setMask) : (line % numSets);
+    }
+
+    /** One LRU probe of @p line.  @return true on hit. */
+    bool probe(u64 line);
+
+    /** probe() for line emptySlot, kept off the common path. */
+    bool probeTopLine(u64 *set);
 
     /** Probe @p line once for a run of @p run accesses. */
-    void probeRun(u64 line, u64 run);
+    void
+    probeRun(u64 line, u64 run)
+    {
+        numAccesses += run;
+        probe(line);
+    }
 
     u32 lineSize;
     u32 lineShift;
     u32 assoc;
     u32 numSets;
+    u64 setMask; ///< numSets - 1 when numSets is a power of two
+    bool pow2Sets;
+    /** Line emptySlot is resident; it then sits in the first slot of
+     *  its set that holds emptySlot. */
+    bool topLineResident = false;
     u64 numAccesses = 0;
     u64 numMisses = 0;
-    u64 useClock = 0;
-    std::vector<Way> ways; // numSets * assoc, set-major
+    /** numSets * assoc resident line numbers, set-major.  Each set is
+     *  in recency order: MRU first, empty slots (emptySlot) at the
+     *  tail, so the LRU line is the last occupied slot. */
+    std::vector<u64> lines;
 };
 
 } // namespace hetsim::sim

@@ -291,6 +291,21 @@ TEST(CliGolden, ParseErrors)
          "--node-fail-rate wants a fraction in [0, 1], got '1.5'"},
         {"--scale", nullptr, "0",
          "--scale wants a positive number, got '0'"},
+        {"--scale", nullptr, "nan",
+         "--scale wants a positive number, got 'nan'"},
+        {"--scale", nullptr, "inf",
+         "--scale wants a positive number, got 'inf'"},
+        {"--scale", nullptr, "1e400",
+         "--scale wants a positive number, got '1e400'"},
+        {"--rate", nullptr, "inf",
+         "--rate wants a positive jobs/sec arrival rate, got 'inf'"},
+        {"--node-fail-rate", nullptr, "nan",
+         "--node-fail-rate wants a fraction in [0, 1], got 'nan'"},
+        {"--freq", nullptr, "nan:1500",
+         "--freq wants core:mem in positive MHz, got 'nan:1500'"},
+        {"--inject-faults", nullptr, "transfer:nan",
+         "--inject-faults wants kind:rate pairs (transfer|launch|stall, "
+         "rate in [0,1]), got 'transfer:nan'"},
         {"--freq", nullptr, "925",
          "--freq wants core:mem in positive MHz, got '925'"},
         {"--tenants", nullptr, "",

@@ -94,12 +94,14 @@ TEST(FlatJson, StrictRealParsers)
 {
     EXPECT_EQ(parsePositive("0.5"), 0.5);
     EXPECT_EQ(parsePositive("2e3"), 2000.0);
-    for (const char *bad : {"", "0", "-1", "1x", "x", "1 "})
+    for (const char *bad : {"", "0", "-1", "1x", "x", "1 ", "nan", "inf",
+                            "-inf", "infinity", "1e400"})
         EXPECT_FALSE(parsePositive(bad).has_value()) << bad;
 
     EXPECT_EQ(parseFraction("0"), 0.0);
     EXPECT_EQ(parseFraction("1"), 1.0);
-    for (const char *bad : {"", "-0.1", "1.5", "0.5x"})
+    for (const char *bad : {"", "-0.1", "1.5", "0.5x", "nan", "-nan",
+                            "inf", "1e400"})
         EXPECT_FALSE(parseFraction(bad).has_value()) << bad;
 
     const auto freq = parseCoreMem("925:1500");
@@ -107,7 +109,8 @@ TEST(FlatJson, StrictRealParsers)
     EXPECT_EQ(freq->first, 925.0);
     EXPECT_EQ(freq->second, 1500.0);
     for (const char *bad : {"", "925", "925:", ":1500", "0:810",
-                            "925:-1", "a:b", "925:1500x"})
+                            "925:-1", "a:b", "925:1500x", "nan:1500",
+                            "925:inf"})
         EXPECT_FALSE(parseCoreMem(bad).has_value()) << bad;
 }
 
