@@ -109,8 +109,8 @@ main(int argc, char **argv)
                  "transfers (paper Sec. VI-A)\n"
               << std::string(75, '=') << "\n\n";
 
-    auto readmem = core::makeReadMem();
-    auto xsbench = core::makeXsbench();
+    auto readmem = core::workloadByName("readmem");
+    auto xsbench = core::workloadByName("xsbench");
     printTransferSplit(*readmem, sim::radeonR9_280X(), opts.scale);
     printTransferSplit(*readmem, sim::a10_7850kGpu(), opts.scale);
     printTransferSplit(*xsbench, sim::radeonR9_280X(),

@@ -57,7 +57,7 @@ printProductivity(const sim::DeviceSpec &device, double scale,
 void
 benchProductivityRow(benchmark::State &state)
 {
-    auto wl = core::makeReadMem();
+    auto wl = core::workloadByName("readmem");
     for (auto _ : state) {
         core::Harness harness(*wl, 0.25, false);
         auto point = harness.speedup(sim::a10_7850kGpu(),

@@ -6,7 +6,7 @@
 
 #include "benchsupport.hh"
 
-#include "kernelir/codegen.hh"
+#include "kernelir/captable.hh"
 
 namespace
 {
@@ -18,7 +18,7 @@ benchFeatureQuery(benchmark::State &state)
 {
     for (auto _ : state) {
         auto features =
-            ir::compilerFor(core::ModelKind::CppAmp).features();
+            ir::capsFor(core::ModelKind::CppAmp).features;
         benchmark::DoNotOptimize(features.localDataStore);
     }
 }
@@ -42,7 +42,7 @@ main(int argc, char **argv)
     for (core::ModelKind model :
          {core::ModelKind::OpenCl, core::ModelKind::OpenAcc,
           core::ModelKind::CppAmp}) {
-        auto f = ir::compilerFor(model).features();
+        auto f = ir::capsFor(model).features;
         table.addRow({ir::displayName(model), mark(f.vectorization),
                       mark(f.localDataStore), mark(f.fineGrainedSync),
                       mark(f.explicitUnrolling),
@@ -57,7 +57,7 @@ main(int argc, char **argv)
          {core::ModelKind::OpenCl, core::ModelKind::CppAmp,
           core::ModelKind::OpenAcc, core::ModelKind::Hc}) {
         compilers.addRow({ir::displayName(model),
-                          ir::compilerFor(model).toolchain()});
+                          ir::capsFor(model).toolchain});
     }
     compilers.print(std::cout);
     std::cout << '\n';

@@ -23,7 +23,7 @@ const std::vector<double> kMemMhz{480, 590, 700, 810,
 void
 benchSweepPoint(benchmark::State &state)
 {
-    auto wl = core::makeReadMem();
+    auto wl = core::workloadByName("readmem");
     core::Harness harness(*wl, 0.25, false);
     for (auto _ : state) {
         auto result = harness.runAt(sim::radeonR9_280X(),

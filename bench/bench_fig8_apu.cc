@@ -15,7 +15,7 @@ using namespace hetsim;
 void
 benchApuRun(benchmark::State &state)
 {
-    auto wl = core::makeReadMem();
+    auto wl = core::workloadByName("readmem");
     core::WorkloadConfig cfg;
     cfg.scale = 0.25;
     cfg.functional = false;

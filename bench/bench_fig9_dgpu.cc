@@ -16,7 +16,7 @@ using namespace hetsim;
 void
 benchDgpuRun(benchmark::State &state)
 {
-    auto wl = core::makeReadMem();
+    auto wl = core::workloadByName("readmem");
     core::WorkloadConfig cfg;
     cfg.scale = 0.25;
     cfg.functional = false;

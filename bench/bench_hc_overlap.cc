@@ -73,7 +73,7 @@ main(int argc, char **argv)
               << std::string(75, '=') << "\n\n";
 
     // (1) End-to-end readmem, transfers included.
-    auto wl = core::makeReadMem();
+    auto wl = core::workloadByName("readmem");
     core::Harness harness(*wl, opts.scale, false);
     Table table("read-memory on the dGPU, end to end (staging "
                 "included)");

@@ -33,7 +33,7 @@ speedups(core::Workload &wl, const sim::DeviceSpec &device,
 void
 benchObservationSweep(benchmark::State &state)
 {
-    auto wl = core::makeReadMem();
+    auto wl = core::workloadByName("readmem");
     for (auto _ : state) {
         auto s = speedups(*wl, sim::a10_7850kGpu(), 0.25);
         benchmark::DoNotOptimize(s[core::ModelKind::OpenCl]);

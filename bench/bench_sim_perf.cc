@@ -290,7 +290,7 @@ main(int argc, char **argv)
     std::vector<ScenarioResult> results;
 
     {
-        auto wl = core::makeReadMem();
+        auto wl = core::workloadByName("readmem");
         results.push_back(measureScenario(
             "fig7_sweep_readmem",
             "readmem 72-point frequency sweep (fig7)", [&] {
@@ -299,7 +299,7 @@ main(int argc, char **argv)
             }));
     }
     {
-        auto wl = core::makeMiniFe();
+        auto wl = core::workloadByName("minife");
         results.push_back(measureScenario(
             "fig7_sweep_minife",
             "miniFE 15-point frequency sweep (CG launch loop)", [&] {
@@ -328,7 +328,7 @@ main(int argc, char **argv)
             }));
     }
     {
-        auto wl = core::makeXsbench();
+        auto wl = core::workloadByName("xsbench");
         results.push_back(measureScenario(
             "repeated_runs_xsbench",
             "xsbench timing-only run x8 (replication study)", [&] {

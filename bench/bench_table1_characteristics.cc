@@ -16,7 +16,7 @@ using namespace hetsim;
 void
 benchCharacteristics(benchmark::State &state)
 {
-    auto wl = core::makeReadMem();
+    auto wl = core::workloadByName("readmem");
     for (auto _ : state) {
         core::Harness harness(*wl, 0.25, false);
         auto chars = harness.characteristics(sim::radeonR9_280X(),

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "kernelir/captable.hh"
 #include "common/table.hh"
 #include "core/harness.hh"
 #include "core/workload.hh"
@@ -136,10 +137,8 @@ printSpeedupFigure(const std::string &caption,
         table.setHeader({"Model", "SP time (s)", "SP speedup",
                          "DP time (s)", "DP speedup"});
         for (core::ModelKind model : wl->supportedModels()) {
-            if (model == core::ModelKind::Serial ||
-                model == core::ModelKind::OpenMp) {
+            if (ir::capsFor(model).host)
                 continue;
-            }
             auto sp = harness.speedup(device, model,
                                       Precision::Single);
             auto dp = harness.speedup(device, model,

@@ -25,7 +25,8 @@ main()
 
     // A workload bundles the serial reference plus one implementation
     // per programming model.
-    std::unique_ptr<core::Workload> readmem = core::makeReadMem();
+    std::unique_ptr<core::Workload> readmem =
+        core::workloadByName("readmem");
 
     // First: one raw run, with functional execution and validation.
     core::WorkloadConfig cfg;

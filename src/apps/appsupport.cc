@@ -1,5 +1,6 @@
 #include "appsupport.hh"
 
+#include "kernelir/captable.hh"
 #include "kernelir/trace.hh"
 
 namespace hetsim::apps
@@ -11,9 +12,8 @@ hostFallbackSeconds(const ir::KernelDescriptor &desc, u64 items,
 {
     sim::DeviceSpec cpu = serialCpu();
     ir::ProfileResolver resolver(cpu);
-    const ir::CompilerModel &compiler =
-        ir::compilerFor(ir::ModelKind::Serial);
-    ir::Codegen cg = compiler.compile(desc, {}, cpu);
+    ir::Codegen cg = ir::compileWithCaps(
+        ir::capsFor(ir::ModelKind::Serial), desc, {}, cpu);
     sim::KernelProfile prof =
         resolver.resolve(desc, items, prec, false, 0);
     prof.chainConcurrencyPerCu *= cg.chainEfficiency;

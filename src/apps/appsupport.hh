@@ -7,8 +7,10 @@
 #define HETSIM_APPS_APPSUPPORT_HH
 
 #include <cmath>
+#include <limits>
 #include <span>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "kernelir/codegen.hh"
 #include "kernelir/kernel.hh"
@@ -34,6 +36,22 @@ serialCpu()
     spec.memEfficiency = 0.15; // one core's share of DDR3 bandwidth
     spec.name += " (1 core)";
     return spec;
+}
+
+/**
+ * @return @p size, a problem size derived from the scale factor,
+ * truncated to the integer type T.  A double->integer cast out of
+ * range is undefined, so a size T cannot hold is a fatal error; every
+ * scale up to core::maxScale stays far inside each app's size types.
+ */
+template <typename T>
+T
+sizeCast(double size)
+{
+    if (!(size >= 0.0 &&
+          size < std::ldexp(1.0, std::numeric_limits<T>::digits)))
+        fatal("problem size %g out of range (scale too large)", size);
+    return static_cast<T>(size);
 }
 
 /** Relative comparison with absolute floor, elementwise over spans. */

@@ -123,14 +123,14 @@ extern template struct Problem<double>;
 inline int
 scaledCells(double scale)
 {
-    return std::max(6, static_cast<int>(baseCells * scale + 0.5));
+    return std::max(6, sizeCast<int>(baseCells * scale + 0.5));
 }
 
 /** Steps for a scale factor. */
 inline int
 scaledSteps(double scale)
 {
-    return std::max(2, static_cast<int>(baseSteps * scale + 0.5));
+    return std::max(2, sizeCast<int>(baseSteps * scale + 0.5));
 }
 
 /** Serial reference: run the whole simulation in place. */

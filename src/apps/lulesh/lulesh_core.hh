@@ -178,15 +178,14 @@ extern template struct Problem<double>;
 inline int
 scaledEdge(double scale)
 {
-    return std::max(4, static_cast<int>(baseEdge * scale + 0.5));
+    return std::max(4, sizeCast<int>(baseEdge * scale + 0.5));
 }
 
 /** Iterations for a scale factor (paper -i 100 at scale 1). */
 inline int
 scaledIterations(double scale)
 {
-    return std::max(2,
-                    static_cast<int>(baseIterations * scale + 0.5));
+    return std::max(2, sizeCast<int>(baseIterations * scale + 0.5));
 }
 
 /**

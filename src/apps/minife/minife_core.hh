@@ -100,14 +100,14 @@ extern template struct Problem<double>;
 inline int
 scaledEdge(double scale)
 {
-    return std::max(8, static_cast<int>(baseEdge * scale + 0.5));
+    return std::max(8, sizeCast<int>(baseEdge * scale + 0.5));
 }
 
 /** CG iterations for a scale factor. */
 inline int
 scaledIterations(double scale)
 {
-    return std::max(8, static_cast<int>(baseIterations * scale + 0.5));
+    return std::max(8, sizeCast<int>(baseIterations * scale + 0.5));
 }
 
 /** Serial CG reference over a fresh problem. */

@@ -39,8 +39,8 @@ struct Problem
 
     explicit Problem(double scale)
     {
-        elements = static_cast<u64>(static_cast<double>(baseElements) *
-                                    scale);
+        elements = sizeCast<u64>(static_cast<double>(baseElements) *
+                                 scale);
         elements = std::max<u64>(elements / blockSize, 1) * blockSize;
         // in[i] = (i % 97) * 0.125: write one period, then double the
         // filled prefix (a period multiple) until the buffer is full.

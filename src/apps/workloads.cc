@@ -1,61 +1,76 @@
 /**
  * @file
- * Registry of all proxy applications, in the paper's order.
+ * The app registration table: one row per proxy application, in the
+ * paper's order.  A row names the app and points at the eight
+ * per-model entry points its <app>_variants.hh declares.
  */
 
-#include "core/workload.hh"
+#include "comd/comd_variants.hh"
+#include "lulesh/lulesh_variants.hh"
+#include "minife/minife_variants.hh"
+#include "readmem/readmem_variants.hh"
+#include "xsbench/xsbench_variants.hh"
+
+namespace hetsim::apps
+{
+
+namespace
+{
+
+constexpr core::AppEntry kApps[] = {
+    {"readmem", "read-benchmark",
+     "./read-benchmark (in-house, BLOCKSIZE=64)", true,
+     readmem::runSerial, readmem::runOpenMp, readmem::runOpenCl,
+     readmem::runCppAmp, readmem::runOpenAcc, readmem::runHc,
+     readmem::runOmpTarget, readmem::runCuda},
+    {"lulesh", "LULESH", "./LULESH -s 100 -i 100", false,
+     lulesh::runSerial, lulesh::runOpenMp, lulesh::runOpenCl,
+     lulesh::runCppAmp, lulesh::runOpenAcc, lulesh::runHc,
+     lulesh::runOmpTarget, lulesh::runCuda},
+    {"comd", "CoMD", "./CoMD -x 60 -y 60 -z 60", false,
+     comd::runSerial, comd::runOpenMp, comd::runOpenCl,
+     comd::runCppAmp, comd::runOpenAcc, comd::runHc,
+     comd::runOmpTarget, comd::runCuda},
+    {"xsbench", "XSBench", "./XSBench -s small", false,
+     xsbench::runSerial, xsbench::runOpenMp, xsbench::runOpenCl,
+     xsbench::runCppAmp, xsbench::runOpenAcc, xsbench::runHc,
+     xsbench::runOmpTarget, xsbench::runCuda},
+    {"minife", "miniFE", "./miniFE -nx 100 -ny 100 -nz 100", false,
+     minife::runSerial, minife::runOpenMp, minife::runOpenCl,
+     minife::runCppAmp, minife::runOpenAcc, minife::runHc,
+     minife::runOmpTarget, minife::runCuda},
+};
+
+} // namespace
+
+} // namespace hetsim::apps
 
 namespace hetsim::core
 {
+
+std::span<const AppEntry>
+appTable()
+{
+    return apps::kApps;
+}
 
 std::vector<std::unique_ptr<Workload>>
 makeAllWorkloads()
 {
     std::vector<std::unique_ptr<Workload>> workloads;
-    workloads.push_back(makeReadMem());
-    workloads.push_back(makeLulesh());
-    workloads.push_back(makeComd());
-    workloads.push_back(makeXsbench());
-    workloads.push_back(makeMiniFe());
+    for (const AppEntry &app : apps::kApps)
+        workloads.push_back(std::make_unique<Workload>(app));
     return workloads;
 }
 
 std::unique_ptr<Workload>
 workloadByName(const std::string &name)
 {
-    if (name == "readmem")
-        return makeReadMem();
-    if (name == "lulesh")
-        return makeLulesh();
-    if (name == "comd")
-        return makeComd();
-    if (name == "xsbench")
-        return makeXsbench();
-    if (name == "minife")
-        return makeMiniFe();
+    for (const AppEntry &app : apps::kApps) {
+        if (name == app.alias)
+            return std::make_unique<Workload>(app);
+    }
     return nullptr;
-}
-
-std::optional<ModelKind>
-modelByName(const std::string &name)
-{
-    if (name == "serial")
-        return ModelKind::Serial;
-    if (name == "openmp" || name == "omp")
-        return ModelKind::OpenMp;
-    if (name == "opencl" || name == "ocl")
-        return ModelKind::OpenCl;
-    if (name == "cppamp" || name == "amp")
-        return ModelKind::CppAmp;
-    if (name == "openacc" || name == "acc")
-        return ModelKind::OpenAcc;
-    if (name == "hc")
-        return ModelKind::Hc;
-    if (name == "omptarget" || name == "target")
-        return ModelKind::OmpTarget;
-    if (name == "cuda")
-        return ModelKind::Cuda;
-    return std::nullopt;
 }
 
 } // namespace hetsim::core

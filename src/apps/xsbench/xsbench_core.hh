@@ -123,7 +123,7 @@ inline int
 scaledGridpoints(double scale)
 {
     return std::max(256,
-                    static_cast<int>(baseGridpoints * scale + 0.5));
+                    sizeCast<int>(baseGridpoints * scale + 0.5));
 }
 
 /** Lookups for a scale factor. */
@@ -131,7 +131,7 @@ inline u64
 scaledLookups(double scale)
 {
     return std::max<u64>(
-        4096, static_cast<u64>(double(baseLookups) * scale + 0.5));
+        4096, sizeCast<u64>(double(baseLookups) * scale + 0.5));
 }
 
 /** Serial reference over a fresh problem. */

@@ -11,6 +11,7 @@
 #include "cpu/threadpool.hh"
 #include "coexec/scheduler.hh"
 #include "fault/fault.hh"
+#include "kernelir/captable.hh"
 #include "kernelir/signature.hh"
 #include "obs/metrics.hh"
 #include "obs/profile.hh"
@@ -119,8 +120,8 @@ predictKernelSeconds(const sim::DeviceSpec &spec, Precision prec,
 {
     if (items == 0)
         return 0.0;
-    const ir::CompilerModel &compiler = ir::compilerFor(model);
-    ir::Codegen cg = compiler.compile(desc, hints, spec);
+    ir::Codegen cg =
+        ir::compileWithCaps(ir::capsFor(model), desc, hints, spec);
     ir::ProfileResolver resolver(spec);
     return ir::memoizedTiming(resolver, spec, spec.stockFreq(), prec,
                               desc, items, hints.workgroupSize, cg)
@@ -166,7 +167,7 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
     struct Slot
     {
         const sim::DeviceSpec *spec = nullptr;
-        const ir::CompilerModel *compiler = nullptr;
+        const ir::BackendCaps *caps = nullptr;
         ir::Codegen cg;
         std::unique_ptr<ir::ProfileResolver> resolver;
         sim::ResourceId computeQ = 0;
@@ -195,9 +196,9 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
     for (size_t d = 0; d < devices.size(); ++d) {
         Slot &slot = slots[d];
         slot.spec = &devices.spec(d);
-        slot.compiler = &ir::compilerFor(devices.model(d));
+        slot.caps = &ir::capsFor(devices.model(d));
         if (kernel.desc.loop.needsBarriers &&
-            !slot.compiler->features().fineGrainedSync) {
+            !slot.caps->features.fineGrainedSync) {
             result.ok = false;
             result.error = csprintf(
                 "kernel %s requires work-group barriers which the "
@@ -205,8 +206,8 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
                 kernel.desc.name.c_str(), slot.spec->name.c_str());
             return result;
         }
-        slot.cg = slot.compiler->compile(kernel.desc, kernel.hints,
-                                         *slot.spec);
+        slot.cg = ir::compileWithCaps(*slot.caps, kernel.desc,
+                                      kernel.hints, *slot.spec);
         slot.resolver =
             std::make_unique<ir::ProfileResolver>(*slot.spec);
         slot.computeQ =
@@ -416,7 +417,7 @@ CoExecutor::execute(const CoKernel &kernel, const ExecOptions &opts)
         }
 
         const bool discrete = !slot.spec->zeroCopy;
-        const double xfer_eff = slot.compiler->transferEfficiency();
+        const double xfer_eff = slot.caps->transferEfficiency;
 
         const sim::KernelTiming timing =
             ir::memoizedTiming(*slot.resolver, *slot.spec,

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "kernelir/captable.hh"
 
 namespace hetsim::core
 {
@@ -67,7 +68,7 @@ Harness::speedups(const sim::DeviceSpec &device)
 {
     std::vector<SpeedupPoint> points;
     for (ModelKind model : app.supportedModels()) {
-        if (model == ModelKind::Serial || model == ModelKind::OpenMp)
+        if (ir::capsFor(model).host)
             continue;
         for (Precision prec :
              {Precision::Single, Precision::Double}) {

@@ -4,6 +4,9 @@
 #include <map>
 #include <set>
 
+#include "common/logging.hh"
+#include "kernelir/captable.hh"
+
 namespace hetsim::core
 {
 
@@ -86,6 +89,41 @@ kernelBreakdown(const RunResult &result)
                   return a.seconds > b.seconds;
               });
     return rows;
+}
+
+std::vector<ModelKind>
+Workload::supportedModels() const
+{
+    // Every registration row carries all eight entry points.
+    std::vector<ModelKind> models;
+    for (const ir::BackendCaps &caps : ir::backendTable())
+        models.push_back(caps.kind);
+    return models;
+}
+
+RunResult
+Workload::run(ModelKind model, const sim::DeviceSpec &device,
+              const WorkloadConfig &cfg) const
+{
+    switch (model) {
+      case ModelKind::Serial:
+        return entry->serial(cfg);
+      case ModelKind::OpenMp:
+        return entry->openmp(cfg);
+      case ModelKind::OpenCl:
+        return entry->opencl(device, cfg);
+      case ModelKind::CppAmp:
+        return entry->cppamp(device, cfg);
+      case ModelKind::OpenAcc:
+        return entry->openacc(device, cfg);
+      case ModelKind::Hc:
+        return entry->hc(device, cfg);
+      case ModelKind::OmpTarget:
+        return entry->omptarget(device, cfg);
+      case ModelKind::Cuda:
+        return entry->cuda(device, cfg);
+    }
+    fatal("%s: unsupported model", entry->name);
 }
 
 } // namespace hetsim::core

@@ -1,15 +1,15 @@
 /**
  * @file
- * The Workload interface: one proxy application, runnable under any
- * programming model on any device.  This layer is the paper's object
- * of study - it is what the experiment harness drives.
+ * The Workload: one proxy application, runnable under any programming
+ * model on any device.  This layer is the paper's object of study -
+ * it is what the experiment harness drives.
  */
 
 #ifndef HETSIM_CORE_WORKLOAD_HH
 #define HETSIM_CORE_WORKLOAD_HH
 
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,6 +45,14 @@ struct WorkloadConfig
     /** Clock override; {0, 0} selects the device's stock clocks. */
     sim::FreqDomain freq{0.0, 0.0};
 };
+
+/**
+ * Largest problem-scale factor the CLI (`--scale`) and a JobSpec
+ * ("scale") accept.  1.0 is the paper's command line; the bound keeps
+ * every size an app derives from the scale far inside its integer
+ * type (apps::sizeCast checks each conversion).
+ */
+constexpr double maxScale = 4.0;
 
 /** Outcome of one workload run. */
 struct RunResult
@@ -106,39 +114,74 @@ struct KernelBreakdown
 std::vector<KernelBreakdown>
 kernelBreakdown(const RunResult &result);
 
-/** One proxy application. */
-class Workload
+/** Entry point of a host build (Serial, OpenMP): runs on the CPU. */
+using HostEntry = RunResult (*)(const WorkloadConfig &cfg);
+
+/** Entry point of a device build. */
+using DeviceEntry = RunResult (*)(const sim::DeviceSpec &device,
+                                  const WorkloadConfig &cfg);
+
+/**
+ * One proxy application's registration row: its names and the eight
+ * per-model entry points its <app>_variants.hh declares.  Every app
+ * is one row of appTable() (src/apps/workloads.cc); adding an app is
+ * adding a row.
+ */
+struct AppEntry
 {
-  public:
-    virtual ~Workload() = default;
-
+    /** CLI alias, e.g. "lulesh". */
+    const char *alias;
     /** Display name, e.g. "LULESH". */
-    virtual std::string name() const = 0;
-
+    const char *name;
     /** The paper's command line, e.g. "./LULESH -s 100 -i 100". */
-    virtual std::string cmdline() const = 0;
-
-    /** Models this workload is implemented in. */
-    virtual std::vector<ModelKind> supportedModels() const = 0;
-
+    const char *cmdline;
     /**
      * Whether the paper compares this workload on kernel time only
      * (true for the read-memory micro-benchmark, whose figures
      * exclude data transfers).
      */
-    virtual bool kernelOnlyComparison() const { return false; }
-
-    /** Build and run under @p model on @p device. */
-    virtual RunResult run(ModelKind model, const sim::DeviceSpec &device,
-                          const WorkloadConfig &cfg) = 0;
+    bool kernelOnly;
+    HostEntry serial;
+    HostEntry openmp;
+    DeviceEntry opencl;
+    DeviceEntry cppamp;
+    DeviceEntry openacc;
+    DeviceEntry hc;
+    DeviceEntry omptarget;
+    DeviceEntry cuda;
 };
 
-/** Factory functions (implemented in src/apps). */
-std::unique_ptr<Workload> makeReadMem();
-std::unique_ptr<Workload> makeLulesh();
-std::unique_ptr<Workload> makeComd();
-std::unique_ptr<Workload> makeXsbench();
-std::unique_ptr<Workload> makeMiniFe();
+/** One proxy application: a view of its registration row. */
+class Workload
+{
+  public:
+    explicit Workload(const AppEntry &entry) : entry(&entry) {}
+
+    /** CLI alias, e.g. "lulesh". */
+    std::string alias() const { return entry->alias; }
+
+    /** Display name, e.g. "LULESH". */
+    std::string name() const { return entry->name; }
+
+    /** The paper's command line, e.g. "./LULESH -s 100 -i 100". */
+    std::string cmdline() const { return entry->cmdline; }
+
+    /** Models this workload is implemented in, in ModelKind order. */
+    std::vector<ModelKind> supportedModels() const;
+
+    /** See AppEntry::kernelOnly. */
+    bool kernelOnlyComparison() const { return entry->kernelOnly; }
+
+    /** Build and run under @p model on @p device. */
+    RunResult run(ModelKind model, const sim::DeviceSpec &device,
+                  const WorkloadConfig &cfg) const;
+
+  private:
+    const AppEntry *entry;
+};
+
+/** The registration table, in the paper's order (src/apps). */
+std::span<const AppEntry> appTable();
 
 /** All five proxy applications, in the paper's order. */
 std::vector<std::unique_ptr<Workload>> makeAllWorkloads();
@@ -147,10 +190,6 @@ std::vector<std::unique_ptr<Workload>> makeAllWorkloads();
  *  xsbench, minife), or null.  Shared by the CLI and the serve
  *  layer's JobSpec resolution. */
 std::unique_ptr<Workload> workloadByName(const std::string &name);
-
-/** @return the model kind for a CLI alias (serial, openmp/omp,
- *  opencl/ocl, cppamp/amp, openacc/acc, hc), if valid. */
-std::optional<ModelKind> modelByName(const std::string &name);
 
 } // namespace hetsim::core
 

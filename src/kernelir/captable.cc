@@ -32,6 +32,7 @@ constexpr BackendCaps kTable[] = {
     {
         .kind = ModelKind::Serial,
         .name = "serial",
+        .host = true,
         .display = "Serial",
         .toolchain = "g++ -O3 -fopenmp",
         .features = {true, false, true, true, true},
@@ -48,6 +49,8 @@ constexpr BackendCaps kTable[] = {
     {
         .kind = ModelKind::OpenMp,
         .name = "openmp",
+        .alias = "omp",
+        .host = true,
         .display = "OpenMP",
         .toolchain = "g++ -O3 -fopenmp",
         .features = {true, false, true, true, true},
@@ -64,6 +67,7 @@ constexpr BackendCaps kTable[] = {
     {
         .kind = ModelKind::OpenCl,
         .name = "opencl",
+        .alias = "ocl",
         .display = "OpenCL",
         .toolchain = "AMD Catalyst driver v14.6",
         .features = {true, true, true, true, true},
@@ -83,6 +87,7 @@ constexpr BackendCaps kTable[] = {
     {
         .kind = ModelKind::CppAmp,
         .name = "cppamp",
+        .alias = "amp",
         .display = "C++ AMP",
         .toolchain = "CLAMP v0.6.0",
         .features = {true, true, true, false, false},
@@ -109,6 +114,7 @@ constexpr BackendCaps kTable[] = {
     {
         .kind = ModelKind::OpenAcc,
         .name = "openacc",
+        .alias = "acc",
         .display = "OpenACC",
         .toolchain = "PGI v14.10 with AMD Catalyst driver v14.6",
         .features = {true, false, false, false, false},
@@ -154,6 +160,7 @@ constexpr BackendCaps kTable[] = {
     {
         .kind = ModelKind::OmpTarget,
         .name = "omptarget",
+        .alias = "target",
         .display = "OpenMP target",
         .toolchain = "GCC 6.1 -fopenmp (HSAIL offload)",
         // Figure-11 row: vectorizes, no LDS storage class, barriers
@@ -213,6 +220,18 @@ constexpr ModelKind kDeviceBackends[] = {
 
 } // namespace
 
+const char *
+toString(ModelKind kind)
+{
+    return capsFor(kind).name;
+}
+
+const char *
+displayName(ModelKind kind)
+{
+    return capsFor(kind).display;
+}
+
 std::span<const BackendCaps>
 backendTable()
 {
@@ -228,6 +247,28 @@ capsFor(ModelKind kind)
     }
     panic("no capability-table row for programming model %d",
           static_cast<int>(kind));
+}
+
+std::optional<ModelKind>
+modelByName(std::string_view name)
+{
+    for (const BackendCaps &caps : kTable) {
+        if (name == caps.name ||
+            (caps.alias != nullptr && name == caps.alias))
+            return caps.kind;
+    }
+    return std::nullopt;
+}
+
+std::optional<ModelKind>
+backendByName(std::string_view name)
+{
+    if (name == "omp")
+        return ModelKind::OmpTarget;
+    const std::optional<ModelKind> kind = modelByName(name);
+    if (!kind || capsFor(*kind).host)
+        return std::nullopt;
+    return kind;
 }
 
 std::span<const ModelKind>

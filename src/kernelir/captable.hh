@@ -3,16 +3,15 @@
  * The declarative backend capability table.
  *
  * The paper's Figure 11 matrix (which optimizations each programming
- * model's toolchain can express) plus the calibration anchors used to
- * be spread across one virtual CompilerModel subclass per backend in
- * codegen.cc, and the frontends in src/opencl, src/amp and src/acc
- * each re-encoded parts of it.  This header replaces that with ONE
- * table: every backend is a BackendCaps row, and a single table-driven
- * compiler (codegen.cc) interprets the rows.  Adding a backend means
- * adding a row, not a class - the OpenMP target-offload and CUDA-style
- * models (Memeti et al., PAPERS.md) plug in exactly this way, with
- * their codegen quirks (implicit data mapping, collapse flattening,
- * occupancy-limited launches) expressed as table entries.
+ * model's toolchain can express), the calibration anchors and the
+ * model's CLI names, in ONE table: every programming model is a
+ * BackendCaps row, and one table-driven compiler (compileWithCaps)
+ * interprets the rows.  Adding a backend means adding a row, not a
+ * class - the OpenMP target-offload and CUDA-style models (Memeti et
+ * al., PAPERS.md) plug in exactly this way, with their codegen quirks
+ * (implicit data mapping, collapse flattening, occupancy-limited
+ * launches) expressed as table entries.  The rows are also the only
+ * source of model names: modelByName() and backendByName() read them.
  *
  * Calibration rule (DESIGN.md): the relative code-generation quality
  * of the device compilers is calibrated ONCE from the paper's
@@ -25,7 +24,9 @@
 #ifndef HETSIM_KERNELIR_CAPTABLE_HH
 #define HETSIM_KERNELIR_CAPTABLE_HH
 
+#include <optional>
 #include <span>
+#include <string_view>
 
 #include "kernelir/codegen.hh"
 #include "sim/device.hh"
@@ -88,6 +89,11 @@ struct BackendCaps
     ModelKind kind = ModelKind::Serial;
     /** Short CLI identifier, e.g. "opencl". */
     const char *name = "";
+    /** Second CLI name, e.g. "ocl"; null when there is none. */
+    const char *alias = nullptr;
+    /** Runs on the host CPU (the Serial and OpenMP baselines), so it
+     *  is never a device backend. */
+    bool host = false;
     /** Display name as used in the paper, e.g. "C++ AMP". */
     const char *display = "";
     /** Toolchain (paper Table III). */
@@ -137,6 +143,22 @@ std::span<const BackendCaps> backendTable();
 
 /** @return the capability row for one backend. */
 const BackendCaps &capsFor(ModelKind kind);
+
+/**
+ * @return the model a CLI or JobSpec name selects: a row's name or
+ * alias (serial, openmp/omp, opencl/ocl, cppamp/amp, openacc/acc, hc,
+ * omptarget/target, cuda), if valid.
+ */
+std::optional<ModelKind> modelByName(std::string_view name);
+
+/**
+ * @return the device backend a `--backend` / JobSpec "backend" name
+ * selects for GPU pool slots: modelByName() over the non-host rows,
+ * with one exception.  "omp" means OpenMP *target offload* here, not
+ * the host OpenMP baseline it names under `--model`: a backend always
+ * names a device model.
+ */
+std::optional<ModelKind> backendByName(std::string_view name);
 
 /**
  * @return the five device backends the comparison tables cover

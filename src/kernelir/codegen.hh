@@ -1,14 +1,18 @@
 /**
  * @file
- * Per-programming-model compiler models.
+ * Per-programming-model code generation: the model kinds, the paper's
+ * Figure 11 feature matrix and the codegen result a kernel launch
+ * carries.
  *
  * Each programming model in the paper reaches the GPU through a
  * different toolchain (Table III): the AMD Catalyst OpenCL driver, the
- * CLAMP C++ AMP compiler, and PGI's OpenACC compiler.  A CompilerModel
- * captures what that toolchain makes of a kernel: the SIMD efficiency
- * of the generated ISA, the coalescing quality of its memory accesses,
- * extra launch overhead, whether LDS staging and hand optimizations are
- * honored, and how well it manages host<->device transfers.
+ * CLAMP C++ AMP compiler, and PGI's OpenACC compiler.  What that
+ * toolchain makes of a kernel - the SIMD efficiency of the generated
+ * ISA, the coalescing quality of its memory accesses, extra launch
+ * overhead, whether LDS staging and hand optimizations are honored,
+ * and how well it manages host<->device transfers - is one
+ * BackendCaps row of the capability table, and one function,
+ * ir::compileWithCaps (captable.hh), interprets every row.
  *
  * Calibration rule (see DESIGN.md): the relative code-generation
  * quality of the three device compilers is calibrated ONCE from the
@@ -19,8 +23,6 @@
 
 #ifndef HETSIM_KERNELIR_CODEGEN_HH
 #define HETSIM_KERNELIR_CODEGEN_HH
-
-#include <string>
 
 #include "kernelir/kernel.hh"
 #include "sim/device.hh"
@@ -74,47 +76,6 @@ struct Codegen : sim::CodegenResult
 
     bool operator==(const Codegen &) const = default;
 };
-
-/** Models one programming model's compiler / runtime code quality. */
-class CompilerModel
-{
-  public:
-    virtual ~CompilerModel() = default;
-
-    /** @return which programming model this compiler serves. */
-    virtual ModelKind kind() const = 0;
-
-    /** @return the toolchain name (paper Table III). */
-    virtual std::string toolchain() const = 0;
-
-    /** @return supported optimization features (paper Figure 11). */
-    virtual CompilerFeatures features() const = 0;
-
-    /** @return whether the runtime manages transfers itself. */
-    virtual bool managesTransfers() const { return false; }
-
-    /**
-     * @return achieved fraction of the PCIe link's effective bandwidth
-     * for this model's transfers (explicit pinned staging = 1.0;
-     * compiler-managed pageable paths lower).
-     */
-    virtual double transferEfficiency() const { return 1.0; }
-
-    /**
-     * Compile one kernel.
-     *
-     * @param desc  the kernel descriptor.
-     * @param hints the variant author's hand-tuning decisions; models
-     *              silently ignore hints they cannot express.
-     * @param spec  target device.
-     */
-    virtual Codegen compile(const KernelDescriptor &desc,
-                            const OptHints &hints,
-                            const sim::DeviceSpec &spec) const = 0;
-};
-
-/** @return the process-wide compiler model for a programming model. */
-const CompilerModel &compilerFor(ModelKind kind);
 
 } // namespace hetsim::ir
 

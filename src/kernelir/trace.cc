@@ -86,10 +86,15 @@ ProfileResolver::streamMissRatio(const KernelDescriptor &desc,
                                  const MemStream &stream, Precision prec,
                                  bool memoize)
 {
-    std::string key = desc.name + '/' + stream.buffer + '/' +
-                      toString(prec) + '/' +
-                      std::to_string(spec.l2Bytes) + '/' +
-                      std::to_string(stream.workingSetBytesSp);
+    // The trace Rng is seeded from the L2-size key it always had, so
+    // every traced ratio stays bitwise; the memo key adds the rest of
+    // the L2 geometry.
+    const std::string seedKey = desc.name + '/' + stream.buffer + '/' +
+                                toString(prec) + '/' +
+                                std::to_string(spec.l2Bytes) + '/' +
+                                std::to_string(stream.workingSetBytesSp);
+    std::string key = seedKey + '/' + std::to_string(spec.l2LineBytes) +
+                      '/' + std::to_string(spec.l2Assoc);
     if (memoize) {
         std::lock_guard<std::mutex> lock(globalMissMutex);
         auto it = globalMissCache.find(key);
@@ -102,7 +107,7 @@ ProfileResolver::streamMissRatio(const KernelDescriptor &desc,
         sim::SetAssocCache cache(spec.l2Bytes, spec.l2LineBytes,
                                  spec.l2Assoc);
         // Seed from the key so reruns are bit-identical.
-        Rng rng(std::hash<std::string>{}(key));
+        Rng rng(std::hash<std::string>{}(seedKey));
         stream.trace(cache, rng);
         obs::Metrics::global().add(
             "sim.trace.probes", static_cast<double>(cache.accesses()));

@@ -5,6 +5,7 @@
 #include "common/logging.hh"
 #include "cpu/threadpool.hh"
 #include "fault/fault.hh"
+#include "kernelir/captable.hh"
 #include "kernelir/signature.hh"
 #include "obs/metrics.hh"
 #include "obs/profile.hh"
@@ -41,7 +42,7 @@ RuntimeContext::RuntimeContext(sim::DeviceSpec spec_, ir::ModelKind model,
                                Precision prec)
     : spec(std::move(spec_)),
       modelKind(model),
-      compilerModel(&ir::compilerFor(model)),
+      caps(&ir::capsFor(model)),
       prec(prec),
       clocks(spec.stockFreq()),
       resolver(spec)
@@ -176,7 +177,7 @@ RuntimeContext::scheduleTransfer(BufferId buf, bool to_device,
     }
 
     double seconds = pcie.transferSeconds(info.bytes) /
-                     compilerModel->transferEfficiency();
+                     caps->transferEfficiency;
     sim::ResourceId dma = to_device ? dmaH2D : dmaD2H;
     const std::string label =
         std::string(to_device ? "h2d " : "d2h ") + info.name;
@@ -278,7 +279,7 @@ RuntimeContext::launch(const ir::KernelDescriptor &desc, u64 items,
         fatal("kernel %s launched with zero items", desc.name.c_str());
 
     if (desc.loop.needsBarriers &&
-        !compilerModel->features().fineGrainedSync) {
+        !caps->features.fineGrainedSync) {
         fatal("kernel %s requires work-group barriers which %s cannot "
               "express; restructure the algorithm for this model",
               desc.name.c_str(), displayName(modelKind));
@@ -299,7 +300,7 @@ RuntimeContext::launch(const ir::KernelDescriptor &desc, u64 items,
     }
 
     // Temporal modeling (memoized across repeated launches).
-    ir::Codegen cg = compilerModel->compile(desc, hints, spec);
+    ir::Codegen cg = ir::compileWithCaps(*caps, desc, hints, spec);
     sim::TimingEntry eval =
         ir::memoizedTiming(resolver, spec, clocks, prec, desc, items,
                            hints.workgroupSize, cg);

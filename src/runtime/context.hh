@@ -4,7 +4,7 @@
  * frontends lower to.
  *
  * A context binds a device (sim::DeviceSpec), a programming model's
- * compiler (ir::CompilerModel), an element precision and a frequency
+ * capability row (ir::BackendCaps), an element precision and a frequency
  * domain.  Frontends create buffers, move data (explicitly or through
  * the managed-residency helpers), and launch kernels.  A launch does
  * two things:
@@ -41,6 +41,11 @@
 namespace hetsim::fault
 {
 class FaultPlan;
+}
+
+namespace hetsim::ir
+{
+struct BackendCaps;
 }
 
 namespace hetsim::rt
@@ -134,7 +139,6 @@ class RuntimeContext
 
     const sim::DeviceSpec &device() const { return spec; }
     ir::ModelKind model() const { return modelKind; }
-    const ir::CompilerModel &compiler() const { return *compilerModel; }
     Precision precision() const { return prec; }
     const sim::FreqDomain &freq() const { return clocks; }
 
@@ -245,7 +249,7 @@ class RuntimeContext
 
     sim::DeviceSpec spec;
     ir::ModelKind modelKind;
-    const ir::CompilerModel *compilerModel;
+    const ir::BackendCaps *caps;
     Precision prec;
     sim::FreqDomain clocks;
     sim::PcieLink pcie;

@@ -9,6 +9,9 @@
 #include <set>
 
 #include "common/flatjson.hh"
+#include "common/logging.hh"
+#include "core/workload.hh"
+#include "kernelir/captable.hh"
 
 namespace hetsim::serve
 {
@@ -29,24 +32,6 @@ toString(JobStatus status)
         return "expired";
     }
     return "?";
-}
-
-std::optional<ir::ModelKind>
-backendByName(const std::string &name)
-{
-    if (name == "ocl" || name == "opencl")
-        return ir::ModelKind::OpenCl;
-    if (name == "amp" || name == "cppamp")
-        return ir::ModelKind::CppAmp;
-    if (name == "acc" || name == "openacc")
-        return ir::ModelKind::OpenAcc;
-    if (name == "hc")
-        return ir::ModelKind::Hc;
-    if (name == "omp" || name == "omptarget" || name == "target")
-        return ir::ModelKind::OmpTarget;
-    if (name == "cuda")
-        return ir::ModelKind::Cuda;
-    return std::nullopt;
 }
 
 namespace
@@ -149,7 +134,7 @@ parseJobLine(const std::string &line, size_t lineno, std::string &error)
             std::string text;
             if (!wantString(text))
                 return fail("\"backend\" wants a string");
-            if (!backendByName(text))
+            if (!ir::backendByName(text))
                 return fail("\"backend\" wants a device backend "
                             "(ocl, amp, acc, hc, omp, cuda), got '" +
                             text + "'");
@@ -160,6 +145,9 @@ parseJobLine(const std::string &line, size_t lineno, std::string &error)
             if (value.kind != json::Value::Kind::Number ||
                 value.number <= 0.0)
                 return fail("\"scale\" wants a positive number");
+            if (value.number > core::maxScale)
+                return fail(csprintf("\"scale\" wants at most %g, got %g",
+                                     core::maxScale, value.number));
             spec.scale = value.number;
         } else if (key == "dp") {
             ok = wantBool(spec.doublePrecision);
@@ -283,7 +271,7 @@ jobClassKey(const JobSpec &spec)
     if (spec.coexec()) {
         key += "coexec:" + spec.policy;
         // Canonicalized so "ocl" and "opencl" share one cost class.
-        if (auto backend = backendByName(spec.backend))
+        if (auto backend = ir::backendByName(spec.backend))
             key.append(":").append(ir::toString(*backend));
     } else {
         key += spec.model;

@@ -117,16 +117,6 @@ enum class JobStatus : u8
 /** @return printable name, e.g. "ok". */
 const char *toString(JobStatus status);
 
-/**
- * @return the programming model a `--backend` / "backend" alias
- * selects for GPU pool slots, if valid.  Accepted: ocl/opencl,
- * amp/cppamp, acc/openacc, hc, omp/omptarget/target, cuda.  NOTE:
- * unlike the `--model` alias table, "omp" here means the OpenMP
- * *target-offload* backend - a backend choice always names a device
- * model, never the host-CPU OpenMP baseline.
- */
-std::optional<ir::ModelKind> backendByName(const std::string &name);
-
 /** Outcome of one job. */
 struct JobResult
 {

@@ -9,6 +9,7 @@
 #include "common/logging.hh"
 #include "core/workload.hh"
 #include "fleet/cluster.hh"
+#include "kernelir/captable.hh"
 #include "model/surrogate.hh"
 #include "obs/flightrec.hh"
 #include "obs/metrics.hh"
@@ -104,7 +105,7 @@ runSingleDeviceJob(const JobSpec &spec, JobResult &res)
         res.error = "unknown app '" + spec.app + "'";
         return;
     }
-    auto model = core::modelByName(spec.model);
+    auto model = ir::modelByName(spec.model);
     if (!model) {
         res.error = "unknown model '" + spec.model + "'";
         return;
@@ -160,7 +161,7 @@ runCoexecJob(const JobSpec &spec, double budgetSeconds,
         return;
     }
     if (!spec.backend.empty()) {
-        auto backend = backendByName(spec.backend);
+        auto backend = ir::backendByName(spec.backend);
         if (!backend) {
             res.error = "unknown backend '" + spec.backend + "'";
             return;
@@ -823,9 +824,11 @@ Server::workerLoop(u32 index)
         // preemption instant.
         if (!job.continuation() && job.spec.deadlineMs > 0.0 &&
             waitMs > job.spec.deadlineMs) {
+            // The measured wait is host time: it stays out of the
+            // error text (and so out of results JSONL) and lives in
+            // hostQueueWaitMs only.
             JobResult res = specEcho(job.spec, JobStatus::Expired);
-            res.error = "deadline expired in queue (" +
-                        std::to_string(waitMs) + " ms > " +
+            res.error = "deadline expired in queue (waited over " +
                         std::to_string(job.spec.deadlineMs) + " ms)";
             res.hostQueueWaitMs = waitMs;
             res.queueDepthAtSubmit = job.depthAtSubmit;

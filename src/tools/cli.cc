@@ -15,6 +15,7 @@
 #include "apps/coexec_kernels.hh"
 #include "coexec/coexec.hh"
 #include "common/flatjson.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "core/harness.hh"
 #include "core/workload.hh"
@@ -270,23 +271,19 @@ usage(std::ostream &os)
 namespace
 {
 
-const char *kApps[] = {"readmem", "lulesh", "comd", "xsbench",
-                       "minife"};
-
 int
 cmdList(const Args &, std::ostream &os)
 {
     Table table("Workloads");
     table.setHeader({"app", "paper command line", "models"});
-    for (const char *name : kApps) {
-        auto wl = core::workloadByName(name);
+    for (const core::AppEntry &app : core::appTable()) {
         std::string models;
-        for (core::ModelKind model : wl->supportedModels()) {
+        for (core::ModelKind model : core::Workload(app).supportedModels()) {
             if (!models.empty())
                 models += ' ';
             models += ir::toString(model);
         }
-        table.addRow({name, wl->cmdline(), models});
+        table.addRow({app.alias, app.cmdline, models});
     }
     table.print(os);
     return 0;
@@ -406,7 +403,7 @@ int
 cmdRun(const Args &args, std::ostream &os)
 {
     auto wl = core::workloadByName(args.app);
-    auto model = core::modelByName(args.model);
+    auto model = ir::modelByName(args.model);
     auto device = sim::deviceByName(args.device);
     if (!wl || !model || !device) {
         os << "error: unknown app/model/device\n";
@@ -496,8 +493,7 @@ cmdCompare(const Args &args, std::ostream &os)
                 toString(prec) + ", vs 4-core OpenMP)");
     table.setHeader({"model", "time (s)", "speedup", "energy (J)"});
     for (core::ModelKind model : wl->supportedModels()) {
-        if (model == core::ModelKind::Serial ||
-            model == core::ModelKind::OpenMp)
+        if (ir::capsFor(model).host)
             continue;
         auto point = harness.speedup(*device, model, prec);
         table.addRow({ir::displayName(model),
@@ -514,7 +510,7 @@ cmdSweep(const Args &args, std::ostream &os)
 {
     auto wl = core::workloadByName(args.app);
     auto device = sim::deviceByName(args.device);
-    auto model = core::modelByName(args.model);
+    auto model = ir::modelByName(args.model);
     if (!wl || !device || !model) {
         os << "error: unknown app/model/device\n";
         return 2;
@@ -569,7 +565,7 @@ coexecLaunch(const Args &args, std::ostream &os)
         return std::nullopt;
     }
     if (!args.backend.empty())
-        pool->setGpuModel(*serve::backendByName(args.backend));
+        pool->setGpuModel(*ir::backendByName(args.backend));
     Precision prec = args.doublePrecision ? Precision::Double
                                           : Precision::Single;
     auto kernel = apps::coex::coKernelByName(args.app, args.scale,
@@ -729,7 +725,7 @@ runForBreakdown(const Args &args, std::ostream &os, std::string &title)
     }
 
     auto wl = core::workloadByName(args.app);
-    auto model = core::modelByName(args.model);
+    auto model = ir::modelByName(args.model);
     auto device = sim::deviceByName(args.device);
     if (!wl || !model || !device) {
         os << "error: unknown app/model/device\n";
@@ -1554,7 +1550,7 @@ cmdPredict(const Args &args, std::ostream &os)
                 return 2;
             }
             if (!args.backend.empty())
-                pool->setGpuModel(*serve::backendByName(args.backend));
+                pool->setGpuModel(*ir::backendByName(args.backend));
             model::GroupKey keys[2];
             for (size_t d = 0; d < 2; ++d) {
                 const sim::DeviceSpec &spec = pool->spec(d);
@@ -1887,6 +1883,20 @@ real(Args &args, const std::string &value)
     return Verdict::Ok;
 }
 
+/** --scale: a positive number no larger than core::maxScale. */
+Verdict
+scale(Args &args, const std::string &value)
+{
+    const Verdict verdict = real<&Args::scale, json::parsePositive>(
+        args, value);
+    if (verdict == Verdict::Ok && args.scale > core::maxScale) {
+        args.error = csprintf("--scale wants at most %g, got '%s'",
+                              core::maxScale, value.c_str());
+        return Verdict::Bad;
+    }
+    return verdict;
+}
+
 template <bool Args::*Field, bool Value = true>
 Verdict
 toggle(Args &args, const std::string &)
@@ -1899,8 +1909,7 @@ const Flag kFlags[] = {
     {"--app", "", text<&Args::app>},
     {"--model", "", text<&Args::model>},
     {"--device", "", text<&Args::device>},
-    {"--scale", "a positive number",
-     real<&Args::scale, json::parsePositive>},
+    {"--scale", "a positive number", scale},
     {"--devices", "",
      [](Args &a, const std::string &v) {
          a.devices = v;
@@ -1908,7 +1917,7 @@ const Flag kFlags[] = {
          return Verdict::Ok;
      }},
     {"--backend", "a device backend (ocl, amp, acc, hc, omp, cuda)",
-     known<&Args::backend, serve::backendByName>},
+     known<&Args::backend, ir::backendByName>},
     {"--power-model", "a file path", nonEmpty<&Args::powerModel>},
     {"--energy-out", "a file path", nonEmpty<&Args::energyOut>},
     {"--trace-out", "a file path", nonEmpty<&Args::traceOut>},

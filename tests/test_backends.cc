@@ -105,7 +105,7 @@ TEST(BackendParityTiming, CapabilityRowsActuallyDiffer)
     // The parity above is about answers; the rows must still encode
     // different toolchains - OpenACC's directive pipeline cannot
     // match the explicit models on the same kernel.
-    auto wl = core::makeReadMem();
+    auto wl = core::workloadByName("readmem");
     core::WorkloadConfig cfg;
     cfg.scale = 0.05;
     auto ocl = wl->run(ModelKind::OpenCl, sim::radeonR9_280X(), cfg);

@@ -14,7 +14,7 @@ namespace
 
 TEST(KernelBreakdown, AggregatesLulesh)
 {
-    auto wl = makeLulesh();
+    auto wl = workloadByName("lulesh");
     WorkloadConfig cfg;
     cfg.scale = 0.1;
     cfg.functional = false;
@@ -47,7 +47,7 @@ TEST(KernelBreakdown, EmptyRunYieldsNothing)
 
 TEST(KernelBreakdown, SingleKernelTakesAllShare)
 {
-    auto wl = makeXsbench();
+    auto wl = workloadByName("xsbench");
     WorkloadConfig cfg;
     cfg.scale = 0.02;
     cfg.functional = false;

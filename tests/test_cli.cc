@@ -9,12 +9,16 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <optional>
 #include <regex>
 #include <set>
 #include <sstream>
 #include <string>
 
+#include <unistd.h>
+
 #include "core/workload.hh"
+#include "kernelir/captable.hh"
 #include "tools/cli.hh"
 
 namespace hetsim::cli
@@ -297,6 +301,9 @@ TEST(CliGolden, ParseErrors)
          "--scale wants a positive number, got 'inf'"},
         {"--scale", nullptr, "1e400",
          "--scale wants a positive number, got '1e400'"},
+        {"--scale", nullptr, "4.5", "--scale wants at most 4, got '4.5'"},
+        {"--scale", nullptr, "1e300",
+         "--scale wants at most 4, got '1e300'"},
         {"--rate", nullptr, "inf",
          "--rate wants a positive jobs/sec arrival rate, got 'inf'"},
         {"--node-fail-rate", nullptr, "nan",
@@ -317,6 +324,8 @@ TEST(CliGolden, ParseErrors)
     for (const GoldenFlag &g : bounds)
         EXPECT_EQ(parse({"run", g.flag, g.bad}).error, g.badError)
             << g.flag << " " << g.bad;
+
+    EXPECT_EQ(parse({"run", "--scale", "4"}).error, "");
 
     // Commands and unknown options.
     EXPECT_EQ(parse({}).error, "missing command");
@@ -401,13 +410,59 @@ TEST(CliExecute, CoexecAllDevicesDeadExitsCleanly)
 
 TEST(CliLookups, Aliases)
 {
-    EXPECT_NE(core::workloadByName("lulesh"), nullptr);
+    // Every app alias, in the registration table's (the paper's) order.
+    const char *apps[] = {"readmem", "lulesh", "comd", "xsbench",
+                          "minife"};
+    ASSERT_EQ(core::appTable().size(), std::size(apps));
+    for (size_t i = 0; i < std::size(apps); ++i) {
+        EXPECT_STREQ(core::appTable()[i].alias, apps[i]);
+        auto wl = core::workloadByName(apps[i]);
+        ASSERT_NE(wl, nullptr) << apps[i];
+        EXPECT_EQ(wl->alias(), apps[i]);
+    }
     EXPECT_EQ(core::workloadByName("nope"), nullptr);
-    EXPECT_EQ(core::modelByName("amp"), core::ModelKind::CppAmp);
-    EXPECT_EQ(core::modelByName("ocl"), core::ModelKind::OpenCl);
-    EXPECT_EQ(core::modelByName("omptarget"), core::ModelKind::OmpTarget);
-    EXPECT_EQ(core::modelByName("cuda"), core::ModelKind::Cuda);
-    EXPECT_FALSE(core::modelByName("sycl").has_value());
+    EXPECT_EQ(core::workloadByName("LULESH"), nullptr); // display name
+
+    // Every model name and alias, under --model and under --backend.
+    // "omp" is the one name whose meaning differs: host OpenMP as a
+    // model, OpenMP target offload as a backend.
+    using K = core::ModelKind;
+    const std::optional<K> none;
+    const struct
+    {
+        const char *name;
+        std::optional<K> model;
+        std::optional<K> backend;
+    } names[] = {
+        {"serial", K::Serial, none},
+        {"openmp", K::OpenMp, none},
+        {"omp", K::OpenMp, K::OmpTarget},
+        {"opencl", K::OpenCl, K::OpenCl},
+        {"ocl", K::OpenCl, K::OpenCl},
+        {"cppamp", K::CppAmp, K::CppAmp},
+        {"amp", K::CppAmp, K::CppAmp},
+        {"openacc", K::OpenAcc, K::OpenAcc},
+        {"acc", K::OpenAcc, K::OpenAcc},
+        {"hc", K::Hc, K::Hc},
+        {"omptarget", K::OmpTarget, K::OmpTarget},
+        {"target", K::OmpTarget, K::OmpTarget},
+        {"cuda", K::Cuda, K::Cuda},
+        {"sycl", none, none},
+        {"OpenCL", none, none},
+        {"", none, none},
+    };
+    for (const auto &n : names) {
+        EXPECT_EQ(ir::modelByName(n.name), n.model) << n.name;
+        EXPECT_EQ(ir::backendByName(n.name), n.backend) << n.name;
+    }
+    // Every row's name and alias resolves to its own row.
+    for (const ir::BackendCaps &caps : ir::backendTable()) {
+        EXPECT_EQ(ir::modelByName(caps.name), caps.kind) << caps.name;
+        if (caps.alias != nullptr) {
+            EXPECT_EQ(ir::modelByName(caps.alias), caps.kind)
+                << caps.alias;
+        }
+    }
     ASSERT_TRUE(sim::deviceByName("apu").has_value());
     EXPECT_TRUE(sim::deviceByName("apu")->zeroCopy);
     EXPECT_FALSE(sim::deviceByName("fpga").has_value());
@@ -600,9 +655,9 @@ class TempJobsFile
 {
   public:
     explicit TempJobsFile(const std::string &text)
-        : filePath("hetsim_test_jobs_" +
-                   std::to_string(::testing::UnitTest::GetInstance()
-                                      ->random_seed()) +
+        // The pid keeps concurrent test processes (ctest -j) from
+        // writing and removing each other's files.
+        : filePath("hetsim_test_jobs_" + std::to_string(::getpid()) +
                    "_" + std::to_string(counter++) + ".jsonl")
     {
         std::ofstream out(filePath);

@@ -1,19 +1,27 @@
 /**
  * @file
- * Tests for the per-model compiler models: the readmem calibration
+ * Tests for the per-model capability rows: the readmem calibration
  * anchors, the Figure 11 feature matrix, and the modeled pathologies
  * (CoMD tiling, OpenACC vectorization collapse, AMP backend split).
  */
 
 #include <gtest/gtest.h>
 
-#include "kernelir/codegen.hh"
+#include "kernelir/captable.hh"
 #include "sim/device.hh"
 
 namespace hetsim::ir
 {
 namespace
 {
+
+/** Compile @p desc through @p kind's capability row. */
+Codegen
+compile(ModelKind kind, const KernelDescriptor &desc,
+        const OptHints &hints, const sim::DeviceSpec &spec)
+{
+    return compileWithCaps(capsFor(kind), desc, hints, spec);
+}
 
 KernelDescriptor
 simpleStream()
@@ -49,30 +57,30 @@ TEST(Codegen, ReadmemCalibrationAnchors)
     // live in bwEfficiency.
     auto desc = simpleStream();
     sim::DeviceSpec gpu = sim::radeonR9_280X();
-    auto ocl = compilerFor(ModelKind::OpenCl).compile(desc, {}, gpu);
-    auto amp = compilerFor(ModelKind::CppAmp).compile(desc, {}, gpu);
-    auto acc = compilerFor(ModelKind::OpenAcc).compile(desc, {}, gpu);
+    auto ocl = compile(ModelKind::OpenCl, desc, {}, gpu);
+    auto amp = compile(ModelKind::CppAmp, desc, {}, gpu);
+    auto acc = compile(ModelKind::OpenAcc, desc, {}, gpu);
     EXPECT_NEAR(ocl.bwEfficiency / amp.bwEfficiency, 1.3, 0.01);
     EXPECT_NEAR(ocl.bwEfficiency / acc.bwEfficiency, 2.0, 0.01);
 }
 
 TEST(Codegen, Figure11FeatureMatrix)
 {
-    auto ocl = compilerFor(ModelKind::OpenCl).features();
+    auto ocl = capsFor(ModelKind::OpenCl).features;
     EXPECT_TRUE(ocl.vectorization);
     EXPECT_TRUE(ocl.localDataStore);
     EXPECT_TRUE(ocl.fineGrainedSync);
     EXPECT_TRUE(ocl.explicitUnrolling);
     EXPECT_TRUE(ocl.reducedCodeMotion);
 
-    auto acc = compilerFor(ModelKind::OpenAcc).features();
+    auto acc = capsFor(ModelKind::OpenAcc).features;
     EXPECT_TRUE(acc.vectorization);
     EXPECT_FALSE(acc.localDataStore);
     EXPECT_FALSE(acc.fineGrainedSync);
     EXPECT_FALSE(acc.explicitUnrolling);
     EXPECT_FALSE(acc.reducedCodeMotion);
 
-    auto amp = compilerFor(ModelKind::CppAmp).features();
+    auto amp = capsFor(ModelKind::CppAmp).features;
     EXPECT_TRUE(amp.vectorization);
     EXPECT_TRUE(amp.localDataStore);
     EXPECT_TRUE(amp.fineGrainedSync);
@@ -82,11 +90,11 @@ TEST(Codegen, Figure11FeatureMatrix)
 
 TEST(Codegen, TableIIIToolchains)
 {
-    EXPECT_EQ(compilerFor(ModelKind::OpenCl).toolchain(),
+    EXPECT_STREQ(capsFor(ModelKind::OpenCl).toolchain,
               "AMD Catalyst driver v14.6");
-    EXPECT_EQ(compilerFor(ModelKind::CppAmp).toolchain(),
+    EXPECT_STREQ(capsFor(ModelKind::CppAmp).toolchain,
               "CLAMP v0.6.0");
-    EXPECT_EQ(compilerFor(ModelKind::OpenAcc).toolchain(),
+    EXPECT_STREQ(capsFor(ModelKind::OpenAcc).toolchain,
               "PGI v14.10 with AMD Catalyst driver v14.6");
 }
 
@@ -98,8 +106,8 @@ TEST(Codegen, AmpTilingBuysAboutThreeX)
     sim::DeviceSpec gpu = sim::radeonR9_280X();
     OptHints flat, tiled;
     tiled.tiled = true;
-    auto f = compilerFor(ModelKind::CppAmp).compile(desc, flat, gpu);
-    auto t = compilerFor(ModelKind::CppAmp).compile(desc, tiled, gpu);
+    auto f = compile(ModelKind::CppAmp, desc, flat, gpu);
+    auto t = compile(ModelKind::CppAmp, desc, tiled, gpu);
     EXPECT_NEAR(t.simdEfficiency / f.simdEfficiency, 3.0, 0.7);
 }
 
@@ -109,11 +117,11 @@ TEST(Codegen, AccCollapsesOnGatherLoops)
     // parallelism in the CoMD force loop.
     auto desc = comdLike();
     sim::DeviceSpec gpu = sim::radeonR9_280X();
-    auto acc = compilerFor(ModelKind::OpenAcc).compile(desc, {}, gpu);
+    auto acc = compile(ModelKind::OpenAcc, desc, {}, gpu);
     OptHints tuned;
     tuned.tiled = true;
     tuned.useLds = true;
-    auto ocl = compilerFor(ModelKind::OpenCl).compile(desc, tuned, gpu);
+    auto ocl = compile(ModelKind::OpenCl, desc, tuned, gpu);
     EXPECT_LT(acc.simdEfficiency, ocl.simdEfficiency / 10);
 }
 
@@ -123,8 +131,7 @@ TEST(Codegen, AccIgnoresLdsHint)
     desc.ldsBytesPerItemIfUsed = 16;
     OptHints hints;
     hints.useLds = true;
-    auto cg = compilerFor(ModelKind::OpenAcc)
-                  .compile(desc, hints, sim::radeonR9_280X());
+    auto cg = compile(ModelKind::OpenAcc, desc, hints, sim::radeonR9_280X());
     EXPECT_FALSE(cg.usesLds);
 }
 
@@ -133,10 +140,8 @@ TEST(Codegen, AmpBackendSplitOnIrregularKernels)
     // Irregular kernels: better than baseline on HSA (APU), worse on
     // the Catalyst dGPU path (the paper's XSBench observation).
     auto desc = comdLike();
-    auto apu = compilerFor(ModelKind::CppAmp)
-                   .compile(desc, {}, sim::a10_7850kGpu());
-    auto dgpu = compilerFor(ModelKind::CppAmp)
-                    .compile(desc, {}, sim::radeonR9_280X());
+    auto apu = compile(ModelKind::CppAmp, desc, {}, sim::a10_7850kGpu());
+    auto dgpu = compile(ModelKind::CppAmp, desc, {}, sim::radeonR9_280X());
     EXPECT_GT(apu.chainEfficiency, 1.0);
     EXPECT_LT(dgpu.chainEfficiency, 0.5);
     EXPECT_GT(apu.bwEfficiency, dgpu.bwEfficiency);
@@ -144,15 +149,15 @@ TEST(Codegen, AmpBackendSplitOnIrregularKernels)
 
 TEST(Codegen, TransferManagement)
 {
-    EXPECT_FALSE(compilerFor(ModelKind::OpenCl).managesTransfers());
-    EXPECT_FALSE(compilerFor(ModelKind::Hc).managesTransfers());
-    EXPECT_TRUE(compilerFor(ModelKind::CppAmp).managesTransfers());
-    EXPECT_TRUE(compilerFor(ModelKind::OpenAcc).managesTransfers());
+    EXPECT_FALSE(capsFor(ModelKind::OpenCl).managesTransfers);
+    EXPECT_FALSE(capsFor(ModelKind::Hc).managesTransfers);
+    EXPECT_TRUE(capsFor(ModelKind::CppAmp).managesTransfers);
+    EXPECT_TRUE(capsFor(ModelKind::OpenAcc).managesTransfers);
     // Compiler-managed staging is slower than explicit pinned staging.
-    EXPECT_LT(compilerFor(ModelKind::CppAmp).transferEfficiency(), 1.0);
-    EXPECT_LT(compilerFor(ModelKind::OpenAcc).transferEfficiency(),
+    EXPECT_LT(capsFor(ModelKind::CppAmp).transferEfficiency, 1.0);
+    EXPECT_LT(capsFor(ModelKind::OpenAcc).transferEfficiency,
               1.0);
-    EXPECT_DOUBLE_EQ(compilerFor(ModelKind::OpenCl).transferEfficiency(),
+    EXPECT_DOUBLE_EQ(capsFor(ModelKind::OpenCl).transferEfficiency,
                      1.0);
 }
 
@@ -165,16 +170,12 @@ TEST(Codegen, HandTuningHelpsOnlyOpenCl)
     tuned.hoistedInvariants = true;
     sim::DeviceSpec gpu = sim::radeonR9_280X();
 
-    auto ocl_base = compilerFor(ModelKind::OpenCl).compile(desc, {},
-                                                           gpu);
-    auto ocl_tuned = compilerFor(ModelKind::OpenCl).compile(desc, tuned,
-                                                            gpu);
+    auto ocl_base = compile(ModelKind::OpenCl, desc, {}, gpu);
+    auto ocl_tuned = compile(ModelKind::OpenCl, desc, tuned, gpu);
     EXPECT_GT(ocl_tuned.simdEfficiency, ocl_base.simdEfficiency);
 
-    auto acc_base = compilerFor(ModelKind::OpenAcc).compile(desc, {},
-                                                            gpu);
-    auto acc_tuned = compilerFor(ModelKind::OpenAcc)
-                         .compile(desc, tuned, gpu);
+    auto acc_base = compile(ModelKind::OpenAcc, desc, {}, gpu);
+    auto acc_tuned = compile(ModelKind::OpenAcc, desc, tuned, gpu);
     EXPECT_DOUBLE_EQ(acc_tuned.simdEfficiency, acc_base.simdEfficiency);
 }
 
@@ -194,7 +195,7 @@ TEST(Codegen, EfficienciesStayInRange)
             for (const sim::DeviceSpec &spec :
                  {sim::radeonR9_280X(), sim::a10_7850kGpu(),
                   sim::a10_7850kCpu()}) {
-                auto cg = compilerFor(kind).compile(desc, {}, spec);
+                auto cg = compile(kind, desc, {}, spec);
                 ASSERT_GT(cg.simdEfficiency, 0.0);
                 ASSERT_LE(cg.simdEfficiency, 1.0);
                 ASSERT_GT(cg.bwEfficiency, 0.0);

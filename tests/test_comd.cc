@@ -83,7 +83,7 @@ class ComdModels
 TEST_P(ComdModels, ValidatesAgainstSerial)
 {
     auto [model, prec] = GetParam();
-    auto wl = core::makeComd();
+    auto wl = core::workloadByName("comd");
     core::WorkloadConfig cfg;
     cfg.scale = 0.1; // 6^3 unit cells, 10 steps
     cfg.precision = prec;
@@ -106,7 +106,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Comd, RebuildCostsTransfersOnDiscreteGpu)
 {
-    auto wl = core::makeComd();
+    auto wl = core::workloadByName("comd");
     core::WorkloadConfig cfg;
     cfg.scale = 0.1;
     cfg.functional = false;
@@ -120,7 +120,7 @@ TEST(Comd, RebuildCostsTransfersOnDiscreteGpu)
 TEST(Comd, DoublePrecisionMuchSlowerOnApu)
 {
     // 1/16 DP rate on the APU GPU (paper Sec. VI-A).
-    auto wl = core::makeComd();
+    auto wl = core::workloadByName("comd");
     core::WorkloadConfig cfg;
     cfg.scale = 0.1;
     cfg.functional = false;

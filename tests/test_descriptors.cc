@@ -15,6 +15,7 @@
 #include "apps/minife/minife_core.hh"
 #include "apps/readmem/readmem_core.hh"
 #include "apps/xsbench/xsbench_core.hh"
+#include "kernelir/captable.hh"
 #include "kernelir/trace.hh"
 
 namespace hetsim
@@ -108,8 +109,8 @@ TEST(Descriptors, ResolveOnEveryDevice)
                      {ir::ModelKind::OpenMp, ir::ModelKind::OpenCl,
                       ir::ModelKind::CppAmp, ir::ModelKind::OpenAcc,
                       ir::ModelKind::Hc}) {
-                    auto cg = ir::compilerFor(model).compile(desc, {},
-                                                             spec);
+                    auto cg = ir::compileWithCaps(ir::capsFor(model),
+                                                  desc, {}, spec);
                     auto t = sim::timeKernel(spec, spec.stockFreq(),
                                              prec, prof, cg);
                     ASSERT_GT(t.seconds, 0.0);

@@ -29,7 +29,7 @@ TEST_P(DeterministicRuns, TimingAndChecksumRepeat)
 {
     ModelKind model = GetParam();
     auto run_once = [&] {
-        auto wl = core::makeComd();
+        auto wl = core::workloadByName("comd");
         core::WorkloadConfig cfg;
         cfg.scale = 0.1;
         cfg.functional = true;
@@ -53,7 +53,7 @@ TEST(Determinism, FunctionalModeDoesNotChangeTiming)
 {
     // Simulated time comes from the timing model only: whether the
     // kernel bodies actually execute must not matter.
-    auto wl = core::makeMiniFe();
+    auto wl = core::workloadByName("minife");
     core::WorkloadConfig cfg;
     cfg.scale = 0.1;
     cfg.functional = true;
@@ -70,7 +70,7 @@ TEST(Determinism, PrecisionOnlyChangesWhatItShould)
 {
     // SP and DP runs of a memory-bound app: DP moves twice the bytes,
     // so it is slower - but the kernel structure is identical.
-    auto wl = core::makeReadMem();
+    auto wl = core::workloadByName("readmem");
     core::WorkloadConfig cfg;
     cfg.scale = 0.5; // large enough that dispatch overhead is noise
     cfg.functional = false;
@@ -88,7 +88,7 @@ TEST(Determinism, TimingCacheOnVsOffIsBitIdentical)
     // produce bit-identical simulated results.
     sim::TimingCache &cache = sim::TimingCache::global();
     const bool prior = cache.enabled();
-    auto wl = core::makeReadMem();
+    auto wl = core::workloadByName("readmem");
     core::WorkloadConfig cfg;
     cfg.scale = 0.25;
     cfg.functional = false;
@@ -175,7 +175,7 @@ TEST(Determinism, ShardedStreamTracingMatchesSerial)
 
 TEST(Determinism, HarnessBaselineIsCached)
 {
-    auto wl = core::makeReadMem();
+    auto wl = core::workloadByName("readmem");
     core::Harness harness(*wl, 0.1, false);
     double first = harness.baselineSeconds(Precision::Single);
     double second = harness.baselineSeconds(Precision::Single);

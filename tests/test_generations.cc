@@ -17,7 +17,7 @@ namespace
 
 TEST(Generations, Hd7950SitsBetweenApuAnd280X)
 {
-    for (auto &wl : {makeReadMem(), makeComd()}) {
+    for (auto &wl : {workloadByName("readmem"), workloadByName("comd")}) {
         Harness harness(*wl, 0.25, false);
         for (ModelKind model :
              {ModelKind::OpenCl, ModelKind::CppAmp,

@@ -15,7 +15,7 @@ namespace
 
 TEST(Harness, SpeedupAgainstOpenMpBaseline)
 {
-    auto wl = makeReadMem();
+    auto wl = workloadByName("readmem");
     Harness harness(*wl, 0.05, false);
     SpeedupPoint point = harness.speedup(sim::radeonR9_280X(),
                                          ModelKind::OpenCl,
@@ -28,7 +28,7 @@ TEST(Harness, SpeedupAgainstOpenMpBaseline)
 
 TEST(Harness, SpeedupsCoverDeviceModelsAndPrecisions)
 {
-    auto wl = makeReadMem();
+    auto wl = workloadByName("readmem");
     Harness harness(*wl, 0.05, false);
     auto points = harness.speedups(sim::a10_7850kGpu());
     // 6 device models (OCL, AMP, ACC, HC, OMP target, CUDA) x SP/DP.
@@ -42,7 +42,7 @@ TEST(Harness, SpeedupsCoverDeviceModelsAndPrecisions)
 
 TEST(Harness, FreqSweepShapeAndNormalization)
 {
-    auto wl = makeReadMem();
+    auto wl = workloadByName("readmem");
     Harness harness(*wl, 0.05, false);
     std::vector<double> cores{200, 600, 1000};
     std::vector<double> mems{480, 1250};
@@ -68,7 +68,7 @@ TEST(Harness, ClassifyBoundedness)
 
 TEST(Harness, CharacteristicsProducesTableIRow)
 {
-    auto wl = makeReadMem();
+    auto wl = workloadByName("readmem");
     Harness harness(*wl, 0.05, false);
     auto chars = harness.characteristics(sim::radeonR9_280X(),
                                          Precision::Single);
@@ -84,7 +84,7 @@ TEST(Harness, KernelOnlyComparisonExcludesTransfers)
 {
     // readmem compares kernel time only: APU and dGPU OpenCL runs
     // both report pure kernel time even though the dGPU staged data.
-    auto wl = makeReadMem();
+    auto wl = workloadByName("readmem");
     Harness harness(*wl, 0.2, false);
     auto result = harness.runAt(sim::radeonR9_280X(),
                                 ModelKind::OpenCl, Precision::Single,

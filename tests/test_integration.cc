@@ -53,7 +53,7 @@ TEST(PaperShapes, ReadmemKernelRatios)
 {
     // Figures 8a/9a: OpenCL beats C++ AMP by 1.3x and OpenACC by 2x
     // on kernel time, on both machines.
-    auto wl = makeReadMem();
+    auto wl = workloadByName("readmem");
     for (const auto &dev :
          {sim::a10_7850kGpu(), sim::radeonR9_280X()}) {
         auto s = speedupsOf(*wl, dev, 0.5);
@@ -98,7 +98,7 @@ TEST(PaperShapes, AmpBeatsAccAlmostEverywhere)
 TEST(PaperShapes, AmpBestForXsbenchOnApu)
 {
     // Fig. 8d: "C++ AMP resulted in the best performance on the APU."
-    auto wl = makeXsbench();
+    auto wl = workloadByName("xsbench");
     auto s = speedupsOf(*wl, sim::a10_7850kGpu(), 0.2);
     EXPECT_GT(s[ModelKind::CppAmp], s[ModelKind::OpenCl]);
     EXPECT_GT(s[ModelKind::CppAmp], s[ModelKind::OpenAcc]);
@@ -108,7 +108,7 @@ TEST(PaperShapes, AccWorstForComd)
 {
     // Fig. 8c/9c: OpenACC's vectorization failure makes it by far the
     // slowest model for CoMD on both machines.
-    auto wl = makeComd();
+    auto wl = workloadByName("comd");
     for (const auto &dev :
          {sim::a10_7850kGpu(), sim::radeonR9_280X()}) {
         auto s = speedupsOf(*wl, dev, 0.25);
@@ -124,7 +124,7 @@ TEST(PaperShapes, LuleshAmpCrippledOnDiscreteGpuOnly)
     // Fig. 9b: the 27-of-28-kernels fallback makes C++ AMP LULESH far
     // worse than OpenCL on the dGPU; on the APU they are comparable
     // (Fig. 8b: both emerging models within ~2x of OpenCL).
-    auto wl = makeLulesh();
+    auto wl = workloadByName("lulesh");
     auto dgpu = speedupsOf(*wl, sim::radeonR9_280X(), 0.5);
     auto apu = speedupsOf(*wl, sim::a10_7850kGpu(), 0.5);
     EXPECT_LT(dgpu[ModelKind::CppAmp] * 2.5, dgpu[ModelKind::OpenCl]);
@@ -136,7 +136,7 @@ TEST(PaperShapes, MinifeEmergingModelsNearOpenMpOnApu)
     // Fig. 8e: on the APU every model shares the same DDR3 bandwidth,
     // so nothing gets far from the OpenMP baseline - and OpenACC is a
     // slowdown.
-    auto wl = makeMiniFe();
+    auto wl = workloadByName("minife");
     auto s = speedupsOf(*wl, sim::a10_7850kGpu(), 0.15);
     EXPECT_LT(s[ModelKind::OpenCl], 4.0);
     EXPECT_LT(s[ModelKind::OpenAcc], 1.1);
@@ -145,7 +145,7 @@ TEST(PaperShapes, MinifeEmergingModelsNearOpenMpOnApu)
 TEST(PaperShapes, DoublePrecisionSlowerForComputeBoundApps)
 {
     // Sec. VI-A: 1/16 DP on the APU, 1/4 on the dGPU.
-    auto wl = makeComd();
+    auto wl = workloadByName("comd");
     Harness harness(*wl, 0.1, false);
     auto sp = harness.speedup(sim::a10_7850kGpu(), ModelKind::OpenCl,
                               Precision::Single);

@@ -111,7 +111,7 @@ class LuleshModels
 TEST_P(LuleshModels, ValidatesAgainstSerial)
 {
     auto [model, prec] = GetParam();
-    auto wl = core::makeLulesh();
+    auto wl = core::workloadByName("lulesh");
     core::WorkloadConfig cfg;
     cfg.scale = 0.08; // edge 8, 8 iterations
     cfg.precision = prec;
@@ -139,7 +139,7 @@ TEST(Lulesh, AmpPaysHostFallbackOnDiscreteGpuOnly)
 {
     // Paper: 27 of 28 kernels compiled; the fallback forces a per-
     // iteration PCIe round trip on the dGPU but not on the APU.
-    auto wl = core::makeLulesh();
+    auto wl = core::workloadByName("lulesh");
     core::WorkloadConfig cfg;
     cfg.scale = 0.08;
     cfg.functional = false;
@@ -153,7 +153,7 @@ TEST(Lulesh, AmpPaysHostFallbackOnDiscreteGpuOnly)
 
 TEST(Lulesh, DtReductionReadBackEveryIteration)
 {
-    auto wl = core::makeLulesh();
+    auto wl = core::workloadByName("lulesh");
     core::WorkloadConfig cfg;
     cfg.scale = 0.08;
     cfg.functional = false;

@@ -80,7 +80,7 @@ class MinifeModels
 TEST_P(MinifeModels, ValidatesAgainstSerial)
 {
     auto [model, prec] = GetParam();
-    auto wl = core::makeMiniFe();
+    auto wl = core::workloadByName("minife");
     core::WorkloadConfig cfg;
     cfg.scale = 0.1; // 10^3 mesh, 20 iterations
     cfg.precision = prec;
@@ -103,7 +103,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Minife, DotReadbacksEveryIterationOnDiscreteGpu)
 {
-    auto wl = core::makeMiniFe();
+    auto wl = core::workloadByName("minife");
     core::WorkloadConfig cfg;
     cfg.scale = 0.1;
     cfg.functional = false;
@@ -114,7 +114,7 @@ TEST(Minife, DotReadbacksEveryIterationOnDiscreteGpu)
 
 TEST(Minife, AccScalarRowSpmvSlowerThanAdaptive)
 {
-    auto wl = core::makeMiniFe();
+    auto wl = core::workloadByName("minife");
     core::WorkloadConfig cfg;
     cfg.scale = 0.5;
     cfg.functional = false;

@@ -46,7 +46,7 @@ class ReadMemModels
 TEST_P(ReadMemModels, ValidatesAgainstSerial)
 {
     auto [model, prec] = GetParam();
-    auto wl = core::makeReadMem();
+    auto wl = core::workloadByName("readmem");
     core::WorkloadConfig cfg;
     cfg.scale = 0.02;
     cfg.precision = prec;
@@ -71,7 +71,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ReadMem, ChecksumIdenticalAcrossModels)
 {
-    auto wl = core::makeReadMem();
+    auto wl = core::workloadByName("readmem");
     core::WorkloadConfig cfg;
     cfg.scale = 0.02;
     double expect = 0.0;
@@ -90,13 +90,13 @@ TEST(ReadMem, ChecksumIdenticalAcrossModels)
 
 TEST(ReadMem, KernelOnlyComparisonFlagged)
 {
-    auto wl = core::makeReadMem();
+    auto wl = core::workloadByName("readmem");
     EXPECT_TRUE(wl->kernelOnlyComparison());
 }
 
 TEST(ReadMem, ExplicitModelsPayTransfersOnDiscreteGpu)
 {
-    auto wl = core::makeReadMem();
+    auto wl = core::workloadByName("readmem");
     core::WorkloadConfig cfg;
     cfg.scale = 0.25;
     cfg.functional = false;

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <thread>
 
+#include "core/workload.hh"
 #include "model/surrogate.hh"
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
@@ -77,6 +78,8 @@ TEST(JobSpecParse, MalformedLinesCarryTheLineNumber)
         R"({"unknown_key": 1})",
         R"({"scale": -1})",
         R"({"scale": 0})",
+        R"({"scale": 4.5})",
+        R"({"scale": 1e300})",
         R"({"freq": "925"})",
         R"({"faults": "meteor:0.5"})",
         R"({"retry_max": 65})",
@@ -93,6 +96,18 @@ TEST(JobSpecParse, MalformedLinesCarryTheLineNumber)
         EXPECT_NE(err.find("line 7"), std::string::npos)
             << line << " -> " << err;
     }
+}
+
+TEST(JobSpecParse, ScaleIsBoundedByMaxScale)
+{
+    std::string err;
+    auto top = parseJobLine(R"({"scale": 4})", 3, err);
+    ASSERT_TRUE(top.has_value()) << err;
+    EXPECT_DOUBLE_EQ(top->scale, core::maxScale);
+    EXPECT_FALSE(parseJobLine(R"({"scale": 4.5})", 3, err));
+    EXPECT_EQ(err, "line 3: \"scale\" wants at most 4, got 4.5");
+    EXPECT_FALSE(parseJobLine(R"({"scale": 1e300})", 3, err));
+    EXPECT_EQ(err, "line 3: \"scale\" wants at most 4, got 1e+300");
 }
 
 TEST(JobSpecParse, StreamAssignsLineIdsAndRejectsDuplicates)
@@ -305,6 +320,35 @@ TEST(ServeDeadline, ExpiresJobsStillQueuedPastTheirDeadline)
     EXPECT_NE(results[0].error.find("deadline"), std::string::npos);
     EXPECT_LT(results[0].worker, 0); // never ran
     EXPECT_EQ(results[1].status, JobStatus::Ok);
+}
+
+TEST(ServeDeadline, ExpiredErrorTextIsFreeOfHostTime)
+{
+    // The same doomed job, left queued for two different host times,
+    // expires with the same error text; only hostQueueWaitMs differs.
+    std::vector<JobResult> expired;
+    for (int waitMs : {20, 80}) {
+        ServerConfig cfg;
+        cfg.workers = 1;
+        Server server(cfg);
+        server.pause();
+        ASSERT_FALSE(server.start().has_value());
+        JobSpec doomed = tinyJob(1);
+        doomed.deadlineMs = 5.0;
+        server.submit(doomed);
+        std::this_thread::sleep_for(std::chrono::milliseconds(waitMs));
+        server.resume();
+        server.drain();
+        auto results = server.takeResults();
+        server.shutdown();
+        ASSERT_EQ(results.size(), 1u);
+        ASSERT_EQ(results[0].status, JobStatus::Expired);
+        EXPECT_GE(results[0].hostQueueWaitMs, waitMs);
+        expired.push_back(results[0]);
+    }
+    EXPECT_EQ(expired[0].error,
+              "deadline expired in queue (waited over 5.000000 ms)");
+    EXPECT_EQ(expired[1].error, expired[0].error);
 }
 
 // --- Determinism across worker counts ----------------------------------

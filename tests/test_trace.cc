@@ -8,6 +8,7 @@
 #include "kernelir/trace.hh"
 #include "kernelir/tracegen.hh"
 #include "sim/device.hh"
+#include "sim/timing_cache.hh"
 
 namespace hetsim::ir
 {
@@ -73,6 +74,45 @@ TEST(Resolver, TraceDrivenMissRatioUsed)
     desc.streams.push_back(s);
     auto prof = resolver.resolve(desc, 1000, Precision::Single, false);
     EXPECT_LT(prof.dramBytesPerItem, 0.01);
+}
+
+TEST(Resolver, MissMemoKeysTheWholeL2Geometry)
+{
+    // Two devices that differ only in L2 associativity.  The trace
+    // ping-pongs between two lines that share a set: a direct-mapped
+    // L2 misses on every access, a 16-way one only on the first two.
+    // Each device must get its own memo entry, not the other's ratio.
+    sim::DeviceSpec wide = sim::radeonR9_280X();
+    wide.name = "t_assoc_16way";
+    wide.l2Assoc = 16;
+    sim::DeviceSpec direct = wide;
+    direct.name = "t_assoc_direct";
+    direct.l2Assoc = 1;
+    const u64 conflict = wide.l2Bytes; // same set at any associativity
+
+    KernelDescriptor desc;
+    desc.name = "t_assoc_pingpong";
+    desc.flopsPerItem = 1;
+    MemStream s;
+    s.buffer = "pingpong";
+    s.bytesPerItemSp = 4;
+    s.pattern = sim::AccessPattern::Gather;
+    s.workingSetBytesSp = 2 * conflict;
+    s.trace = [conflict](sim::SetAssocCache &cache, Rng &) {
+        for (int i = 0; i < 1000; ++i) {
+            cache.access(0);
+            cache.access(conflict);
+        }
+    };
+    desc.streams.push_back(s);
+
+    ASSERT_TRUE(sim::TimingCache::global().enabled());
+    const double wideMiss = ProfileResolver(wide).streamMissRatio(
+        desc, desc.streams[0], Precision::Single);
+    const double directMiss = ProfileResolver(direct).streamMissRatio(
+        desc, desc.streams[0], Precision::Single);
+    EXPECT_DOUBLE_EQ(wideMiss, 2.0 / 2000.0);
+    EXPECT_DOUBLE_EQ(directMiss, 1.0);
 }
 
 TEST(Resolver, DoublePrecisionDoublesRealTraffic)

@@ -206,7 +206,7 @@ TEST(XsbenchMemo, DescriptorTraceOutlivesProblemAndSlot)
 
 TEST(XsbenchMemo, RepeatedTimingRunsAreIdentical)
 {
-    auto wl = core::makeXsbench();
+    auto wl = core::workloadByName("xsbench");
     core::WorkloadConfig cfg;
     cfg.scale = 0.02;
     cfg.functional = false;
@@ -227,7 +227,7 @@ class XsbenchModels
 TEST_P(XsbenchModels, ValidatesAgainstSerial)
 {
     auto [model, prec] = GetParam();
-    auto wl = core::makeXsbench();
+    auto wl = core::workloadByName("xsbench");
     core::WorkloadConfig cfg;
     cfg.scale = 0.02;
     cfg.precision = prec;
@@ -250,7 +250,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Xsbench, TableStagingDominatesStartupOnDiscreteGpu)
 {
-    auto wl = core::makeXsbench();
+    auto wl = core::workloadByName("xsbench");
     core::WorkloadConfig cfg;
     cfg.scale = 0.2;
     cfg.functional = false;
