@@ -48,12 +48,6 @@ constexpr core::AppEntry kApps[] = {
 namespace hetsim::core
 {
 
-std::span<const AppEntry>
-appTable()
-{
-    return apps::kApps;
-}
-
 std::vector<std::unique_ptr<Workload>>
 makeAllWorkloads()
 {

@@ -9,7 +9,6 @@
 #define HETSIM_CORE_WORKLOAD_HH
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -124,8 +123,8 @@ using DeviceEntry = RunResult (*)(const sim::DeviceSpec &device,
 /**
  * One proxy application's registration row: its names and the eight
  * per-model entry points its <app>_variants.hh declares.  Every app
- * is one row of appTable() (src/apps/workloads.cc); adding an app is
- * adding a row.
+ * is one row of the registration table in src/apps/workloads.cc;
+ * adding an app is adding a row.
  */
 struct AppEntry
 {
@@ -179,9 +178,6 @@ class Workload
   private:
     const AppEntry *entry;
 };
-
-/** The registration table, in the paper's order (src/apps). */
-std::span<const AppEntry> appTable();
 
 /** All five proxy applications, in the paper's order. */
 std::vector<std::unique_ptr<Workload>> makeAllWorkloads();

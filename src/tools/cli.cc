@@ -276,14 +276,14 @@ cmdList(const Args &, std::ostream &os)
 {
     Table table("Workloads");
     table.setHeader({"app", "paper command line", "models"});
-    for (const core::AppEntry &app : core::appTable()) {
+    for (const auto &wl : core::makeAllWorkloads()) {
         std::string models;
-        for (core::ModelKind model : core::Workload(app).supportedModels()) {
+        for (core::ModelKind model : wl->supportedModels()) {
             if (!models.empty())
                 models += ' ';
             models += ir::toString(model);
         }
-        table.addRow({app.alias, app.cmdline, models});
+        table.addRow({wl->alias(), wl->cmdline(), models});
     }
     table.print(os);
     return 0;
