@@ -39,9 +39,9 @@ printProductivity(const sim::DeviceSpec &device, double scale,
             auto point = harnesses[i]->speedup(device, model,
                                                Precision::Double);
             double model_lines = core::SlocManifest::linesChanged(
-                workloads[i]->name(), model);
+                workloads[i]->alias(), model);
             double omp_lines = core::SlocManifest::linesChanged(
-                workloads[i]->name(), core::ModelKind::OpenMp);
+                workloads[i]->alias(), core::ModelKind::OpenMp);
             values.push_back(core::productivity(
                 point.baselineSeconds, point.seconds, model_lines,
                 omp_lines));

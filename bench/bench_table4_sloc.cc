@@ -20,9 +20,9 @@ benchSlocCount(benchmark::State &state)
 {
     for (auto _ : state) {
         int total = 0;
-        for (const auto &app : core::SlocManifest::applications()) {
+        for (const auto &wl : core::makeAllWorkloads()) {
             total += core::SlocManifest::linesChanged(
-                app, core::ModelKind::OpenCl);
+                wl->alias(), core::ModelKind::OpenCl);
         }
         benchmark::DoNotOptimize(total);
     }
@@ -43,19 +43,15 @@ main(int argc, char **argv)
                 "the CPU Serial Implementation");
     table.setHeader({"Application", "OpenMP", "OpenCL", "C++ AMP",
                      "OpenACC", "HC*"});
-    for (const auto &app : core::SlocManifest::applications()) {
-        table.addRow(
-            {app,
-             std::to_string(core::SlocManifest::linesChanged(
-                 app, core::ModelKind::OpenMp)),
-             std::to_string(core::SlocManifest::linesChanged(
-                 app, core::ModelKind::OpenCl)),
-             std::to_string(core::SlocManifest::linesChanged(
-                 app, core::ModelKind::CppAmp)),
-             std::to_string(core::SlocManifest::linesChanged(
-                 app, core::ModelKind::OpenAcc)),
-             std::to_string(core::SlocManifest::linesChanged(
-                 app, core::ModelKind::Hc))});
+    for (const auto &wl : core::makeAllWorkloads()) {
+        std::vector<std::string> row{wl->name()};
+        for (core::ModelKind model :
+             {core::ModelKind::OpenMp, core::ModelKind::OpenCl,
+              core::ModelKind::CppAmp, core::ModelKind::OpenAcc,
+              core::ModelKind::Hc})
+            row.push_back(std::to_string(
+                core::SlocManifest::linesChanged(wl->alias(), model)));
+        table.addRow(std::move(row));
     }
     table.print(std::cout);
     std::cout << "\n(*HC is this reproduction's Section-VII "

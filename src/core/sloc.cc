@@ -93,18 +93,6 @@ SlocManifest::repoRoot()
 namespace
 {
 
-/** App directory and file stem for each application name. */
-const std::map<std::string, std::string> &
-appStems()
-{
-    static const std::map<std::string, std::string> stems = {
-        {"read-benchmark", "readmem"}, {"LULESH", "lulesh"},
-        {"CoMD", "comd"},              {"XSBench", "xsbench"},
-        {"miniFE", "minife"},
-    };
-    return stems;
-}
-
 const char *
 variantSuffix(ir::ModelKind model)
 {
@@ -132,27 +120,17 @@ variantSuffix(ir::ModelKind model)
 } // namespace
 
 std::vector<std::string>
-SlocManifest::applications()
+SlocManifest::files(const std::string &alias, ir::ModelKind model)
 {
-    return {"read-benchmark", "LULESH", "CoMD", "XSBench", "miniFE"};
-}
-
-std::vector<std::string>
-SlocManifest::files(const std::string &app, ir::ModelKind model)
-{
-    auto it = appStems().find(app);
-    if (it == appStems().end())
-        fatal("sloc: unknown application %s", app.c_str());
-    const std::string &stem = it->second;
-    return {"src/apps/" + stem + "/" + stem + "_" +
+    return {"src/apps/" + alias + "/" + alias + "_" +
             variantSuffix(model) + ".cc"};
 }
 
 int
-SlocManifest::sloc(const std::string &app, ir::ModelKind model)
+SlocManifest::sloc(const std::string &alias, ir::ModelKind model)
 {
     int total = 0;
-    for (const std::string &rel : files(app, model))
+    for (const std::string &rel : files(alias, model))
         total += slocOfFile(repoRoot() + "/" + rel);
     return total;
 }
@@ -172,10 +150,10 @@ readFile(const std::string &path)
 }
 
 std::vector<std::string>
-linesOf(const std::string &app, ir::ModelKind model)
+linesOf(const std::string &alias, ir::ModelKind model)
 {
     std::vector<std::string> all;
-    for (const std::string &rel : SlocManifest::files(app, model)) {
+    for (const std::string &rel : SlocManifest::files(alias, model)) {
         auto lines =
             codeLines(readFile(SlocManifest::repoRoot() + "/" + rel));
         all.insert(all.end(), lines.begin(), lines.end());
@@ -186,17 +164,18 @@ linesOf(const std::string &app, ir::ModelKind model)
 } // namespace
 
 int
-SlocManifest::linesChanged(const std::string &app, ir::ModelKind model)
+SlocManifest::linesChanged(const std::string &alias,
+                           ir::ModelKind model)
 {
     if (model == ir::ModelKind::Serial)
-        return sloc(app, model);
+        return sloc(alias, model);
     // Multiset diff against the serial implementation: lines of the
     // variant that do not appear in the serial file are "changed".
     std::multiset<std::string> serial_lines;
-    for (auto &line : linesOf(app, ir::ModelKind::Serial))
+    for (auto &line : linesOf(alias, ir::ModelKind::Serial))
         serial_lines.insert(std::move(line));
     int changed = 0;
-    for (const auto &line : linesOf(app, model)) {
+    for (const auto &line : linesOf(alias, model)) {
         auto it = serial_lines.find(line);
         if (it != serial_lines.end())
             serial_lines.erase(it);

@@ -17,7 +17,6 @@
 #ifndef HETSIM_CORE_SLOC_HH
 #define HETSIM_CORE_SLOC_HH
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -38,25 +37,28 @@ std::vector<std::string> codeLines(const std::string &source);
 /** Count SLOC of a file on disk; fatal() if unreadable. */
 int slocOfFile(const std::string &path);
 
-/** Maps app x model to the implementing source files. */
+/**
+ * Maps app x model to the implementing source files.  Apps are named
+ * by their CLI alias (Workload::alias(), e.g. "lulesh"), which is
+ * also their directory and file stem under src/apps/; the app table
+ * (core::makeAllWorkloads) is the list of apps.
+ */
 class SlocManifest
 {
   public:
     /** @return the repository-relative variant files for app+model. */
-    static std::vector<std::string> files(const std::string &app,
+    static std::vector<std::string> files(const std::string &alias,
                                           ir::ModelKind model);
 
     /** @return SLOC of all variant files for app+model. */
-    static int sloc(const std::string &app, ir::ModelKind model);
+    static int sloc(const std::string &alias, ir::ModelKind model);
 
     /**
      * Table IV cell: lines changed starting from the serial
      * implementation (clamped to >= 1).
      */
-    static int linesChanged(const std::string &app, ir::ModelKind model);
-
-    /** @return the application names in paper order. */
-    static std::vector<std::string> applications();
+    static int linesChanged(const std::string &alias,
+                            ir::ModelKind model);
 
     /** @return absolute path of the repository root. */
     static std::string repoRoot();

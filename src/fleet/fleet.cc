@@ -72,6 +72,11 @@ validate(const Topology &topo, const FleetConfig &cfg,
         error = "fleet: campaign wants at least one job";
         return false;
     }
+    if (cfg.jobs > maxJobs) {
+        error = "fleet: campaign wants at most " +
+                std::to_string(maxJobs) + " jobs";
+        return false;
+    }
     if (cfg.classes.empty()) {
         error = "fleet: campaign wants at least one job class";
         return false;

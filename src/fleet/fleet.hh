@@ -52,6 +52,14 @@ class ThreadPool;
 namespace hetsim::fleet
 {
 
+/**
+ * The most jobs one campaign may draw (`hetsim fleet --njobs`,
+ * FleetConfig::jobs): ten times the 1000-node, one-million-job
+ * campaign.  Per-job records cost about 60 bytes, so a campaign at
+ * the bound needs well under a gigabyte.
+ */
+constexpr u64 maxJobs = 10000000;
+
 /** One weighted class of jobs the fleet serves. */
 struct JobClass
 {
@@ -76,7 +84,7 @@ struct JobClass
 /** One fleet-simulation campaign. */
 struct FleetConfig
 {
-    /** Jobs to draw and place (>= 1). */
+    /** Jobs to draw and place, in [1, maxJobs]. */
     u64 jobs = 10000;
     /** Seed of every stream: class draws, homes, deaths, faults. */
     u64 seed = 0x5eedULL;

@@ -96,6 +96,12 @@ addNodeGroup(Topology &topo, const json::Object &object,
               "' (want dgpu, apu, cpu, or hd7950)";
         return false;
     }
+    if (count > maxNodes - topo.nodes.size()) {
+        why = "\"count\" takes the topology past " +
+              std::to_string(maxNodes) + " nodes (got " +
+              std::to_string(count) + ")";
+        return false;
+    }
     if (name.empty())
         name = device;
     for (u64 i = 0; i < count; ++i) {
@@ -216,6 +222,24 @@ uniformTopology(u32 nodes, const std::string &device)
         node.device = device;
         topo.nodes.push_back(std::move(node));
     }
+    return topo;
+}
+
+Topology
+mixedTopology(u32 nodes)
+{
+    const u32 dgpu = (nodes + 1) / 2;
+    const u32 apu = (nodes - dgpu + 1) / 2;
+    Topology topo;
+    topo.nodes.reserve(nodes);
+    auto group = [&](const char *device, u32 count) {
+        for (u32 i = 0; i < count; ++i)
+            topo.nodes.push_back(
+                {std::string(device) + "/" + std::to_string(i), device});
+    };
+    group("dgpu", dgpu);
+    group("apu", apu);
+    group("cpu", nodes - dgpu - apu);
     return topo;
 }
 

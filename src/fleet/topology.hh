@@ -36,6 +36,15 @@
 namespace hetsim::fleet
 {
 
+/**
+ * The most nodes a topology may hold: a topology file's node groups
+ * together, or `hetsim fleet --nodes`.  A hundred times the 1000-node
+ * campaigns the benchmarks run (`--sweep` replays up to 8x that).
+ * Larger counts fail at parse time rather than growing the node list
+ * until the host runs out of memory.
+ */
+constexpr u64 maxNodes = 100000;
+
 /** One simulated node of the cluster. */
 struct NodeSpec
 {
@@ -86,6 +95,10 @@ std::optional<Topology> loadTopology(const std::string &path,
 
 /** @return a uniform @p nodes x @p device topology (tests, serve). */
 Topology uniformTopology(u32 nodes, const std::string &device = "dgpu");
+
+/** @return the paper's device mix at @p nodes: half discrete GPUs, a
+ *  quarter APUs, the rest CPU-only nodes (`hetsim fleet --nodes`). */
+Topology mixedTopology(u32 nodes);
 
 } // namespace hetsim::fleet
 

@@ -119,9 +119,6 @@ struct KernelDescriptor
      * stream declares dependent accesses.
      */
     double chainConcurrencyPerCu = 64.0;
-
-    /** @return total logical load+store bytes per item at precision. */
-    double bytesPerItem(Precision prec) const;
 };
 
 /** Hand-tuning decisions made by the author of an app variant. */

@@ -144,32 +144,6 @@ Metrics::clear()
 }
 
 void
-Metrics::dumpText(std::ostream &os) const
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    os << std::setprecision(9);
-    for (const auto &[name, value] : counters)
-        os << std::left << std::setw(44) << name << ' ' << value << '\n';
-    for (const auto &[name, value] : gauges)
-        os << std::left << std::setw(44) << name << ' ' << value << '\n';
-    for (const auto &[name, hist] : histograms) {
-        os << std::left << std::setw(44) << name << " count=" << hist.count
-           << " sum=" << hist.sum << " min=" << hist.min
-           << " max=" << hist.max << '\n';
-        for (size_t b = 0; b < hist.counts.size(); ++b) {
-            if (hist.counts[b] == 0)
-                continue;
-            os << "  le=";
-            if (b < hist.bounds.size())
-                os << hist.bounds[b];
-            else
-                os << "+Inf";
-            os << ' ' << hist.counts[b] << '\n';
-        }
-    }
-}
-
-void
 Metrics::dumpJson(std::ostream &os) const
 {
     std::lock_guard<std::mutex> lock(mtx);

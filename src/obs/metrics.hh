@@ -14,8 +14,8 @@
  *
  * Like the Tracer, the registry is disabled by default: every record
  * call returns after one relaxed atomic load, so instrumented hot
- * paths pay nothing when nobody asked for metrics.  Dumps are
- * available as aligned plain text and as JSON.
+ * paths pay nothing when nobody asked for metrics.  The one dump
+ * format is JSON (dumpJson).
  */
 
 #ifndef HETSIM_OBS_METRICS_HH
@@ -95,9 +95,6 @@ class Metrics
 
     /** Remove every metric (definitions included). */
     void clear();
-
-    /** Dump all metrics as aligned "name value" plain text. */
-    void dumpText(std::ostream &os) const;
 
     /**
      * Dump all metrics as one JSON object.  Keys are emitted in

@@ -107,9 +107,6 @@ class RuntimeContext
     /** Override the clock domain (Figure 7 sweeps). */
     void setFreq(const sim::FreqDomain &freq);
 
-    /** Override the PCIe link (defaults to Gen3 x16 at 50%). */
-    void setPcie(const sim::PcieLink &link) { pcie = link; }
-
     /** Enable/disable functional execution of kernel bodies.  The
      *  harness disables it for timing-only re-runs (e.g. frequency
      *  sweeps) after results have been validated once. */

@@ -235,15 +235,6 @@ struct ServerReport
                          virtualMakespanSeconds
                    : 0.0;
     }
-
-    /** @return Ok jobs per host wall second (machine-dependent). */
-    double
-    wallJobsPerSecond() const
-    {
-        return wallSeconds > 0.0
-                   ? static_cast<double>(completed) / wallSeconds
-                   : 0.0;
-    }
 };
 
 /**

@@ -1184,30 +1184,6 @@ cmdServe(const Args &args, std::ostream &os)
     return 0;
 }
 
-/** Built-in topology when no --topology file is given: the paper's
- *  device mix as a cluster (half dgpu, quarter apu, quarter cpu). */
-fleet::Topology
-defaultFleetTopology(u64 nodes)
-{
-    const u64 dgpu = (nodes + 1) / 2;
-    const u64 apu = (nodes - dgpu + 1) / 2;
-    const u64 cpu = nodes - dgpu - apu;
-    fleet::Topology topo;
-    topo.nodes.reserve(nodes);
-    auto group = [&](const char *device, u64 count) {
-        for (u64 i = 0; i < count; ++i) {
-            fleet::NodeSpec node;
-            node.name = std::string(device) + "/" + std::to_string(i);
-            node.device = device;
-            topo.nodes.push_back(std::move(node));
-        }
-    };
-    group("dgpu", dgpu);
-    group("apu", apu);
-    group("cpu", cpu);
-    return topo;
-}
-
 /**
  * Costs every (class, device kind) cell: exact job-cost anchors from
  * --model-in first, the real simulator for the rest - a
@@ -1308,7 +1284,7 @@ cmdFleet(const Args &args, std::ostream &os)
         }
         topo = std::move(*loaded);
     } else {
-        topo = defaultFleetTopology(args.nodes);
+        topo = fleet::mixedTopology(static_cast<u32>(args.nodes));
     }
 
     model::Surrogate surrogate;
@@ -1803,6 +1779,8 @@ enum class Verdict
     Ok,
     Bad,   ///< "<flag> wants <phrase>, got '<value>'"
     Empty, ///< "<flag> wants <phrase>": a required value was empty
+    Over,  ///< "<flag> wants at most <bound>, got '<value>'"; the
+           ///< setter leaves <bound> in Args::error
 };
 
 /**
@@ -1871,6 +1849,19 @@ count(Args &args, const std::string &value)
     return countInto(args.*Field, value, Min, Max);
 }
 
+/** A positive count no larger than @p Max. */
+template <u64 Args::*Field, u64 Max>
+Verdict
+bounded(Args &args, const std::string &value)
+{
+    const Verdict verdict = count<Field, 1>(args, value);
+    if (verdict == Verdict::Ok && args.*Field > Max) {
+        args.error = std::to_string(Max);
+        return Verdict::Over;
+    }
+    return verdict;
+}
+
 /** A real number through one of the strict json:: parsers. */
 template <double Args::*Field, auto Parse>
 Verdict
@@ -1890,9 +1881,8 @@ scale(Args &args, const std::string &value)
     const Verdict verdict = real<&Args::scale, json::parsePositive>(
         args, value);
     if (verdict == Verdict::Ok && args.scale > core::maxScale) {
-        args.error = csprintf("--scale wants at most %g, got '%s'",
-                              core::maxScale, value.c_str());
-        return Verdict::Bad;
+        args.error = csprintf("%g", core::maxScale);
+        return Verdict::Over;
     }
     return verdict;
 }
@@ -2006,8 +1996,10 @@ const Flag kFlags[] = {
     {"--max-workers", "a positive worker count (omit for --workers)",
      count<&Args::maxWorkers, 1, UINT32_MAX>},
     {"--topology", "a file path", nonEmpty<&Args::topology>},
-    {"--nodes", "a positive node count", count<&Args::nodes, 1>},
-    {"--njobs", "a positive job count", count<&Args::njobs, 1>},
+    {"--nodes", "a positive node count",
+     bounded<&Args::nodes, fleet::maxNodes>},
+    {"--njobs", "a positive job count",
+     bounded<&Args::njobs, fleet::maxJobs>},
     {"--placement", "first-fit, least-loaded, or locality",
      known<&Args::placement, fleet::policyByName>},
     {"--rate", "a positive jobs/sec arrival rate",
@@ -2069,7 +2061,10 @@ parse(const std::vector<std::string> &argv)
         } else {
             const std::string &value = argv[++i];
             const Verdict verdict = flag->set(args, value);
-            if (verdict != Verdict::Ok && args.error.empty()) {
+            if (verdict == Verdict::Over) {
+                args.error = std::string(flag->name) + " wants at most " +
+                             args.error + ", got '" + value + "'";
+            } else if (verdict != Verdict::Ok && args.error.empty()) {
                 args.error = std::string(flag->name) + " wants " +
                              flag->wants;
                 if (verdict == Verdict::Bad)

@@ -320,12 +320,23 @@ TEST(CliGolden, ParseErrors)
         {"--seed", nullptr, "99999999999999999999999",
          "--seed wants an unsigned integer, got "
          "'99999999999999999999999'"},
+        {"--nodes", nullptr, "0",
+         "--nodes wants a positive node count, got '0'"},
+        {"--nodes", nullptr, "100001",
+         "--nodes wants at most 100000, got '100001'"},
+        {"--njobs", nullptr, "10000001",
+         "--njobs wants at most 10000000, got '10000001'"},
+        {"--njobs", nullptr, "1000000000000000000",
+         "--njobs wants at most 10000000, got '1000000000000000000'"},
     };
     for (const GoldenFlag &g : bounds)
         EXPECT_EQ(parse({"run", g.flag, g.bad}).error, g.badError)
             << g.flag << " " << g.bad;
 
     EXPECT_EQ(parse({"run", "--scale", "4"}).error, "");
+    EXPECT_EQ(parse({"fleet", "--nodes", "100000", "--njobs", "10000000"})
+                  .error,
+              "");
 
     // Commands and unknown options.
     EXPECT_EQ(parse({}).error, "missing command");

@@ -20,11 +20,15 @@
 #include "cpu/threadpool.hh"
 #include "fault/fault.hh"
 #include "fleet/cluster.hh"
+#include "fleet/costing.hh"
 #include "fleet/fleet.hh"
 #include "fleet/topology.hh"
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
 #include "sim/network.hh"
+#include "sim/timing_cache.hh"
+
+#include "gate_fixtures.hh"
 
 namespace hetsim
 {
@@ -114,6 +118,15 @@ TEST(FleetTopology, ErrorsCarryLineNumbers)
         {"{\"device\": \"dgpu\"", "line 1:"},
         {"{\"net_efficiency\": 2}\n{\"device\": \"dgpu\"}\n",
          "line 1: \"net_efficiency\" wants a fraction"},
+        {"{\"device\": \"apu\", \"count\": 100000000000}\n",
+         "line 1: \"count\" takes the topology past 100000 nodes "
+         "(got 100000000000)"},
+        // The bound is on the whole topology, not on one line.
+        {"{\"device\": \"apu\", \"count\": 60000}\n"
+         "{\"device\": \"cpu\", \"count\": 40000}\n"
+         "{\"device\": \"dgpu\"}\n",
+         "line 3: \"count\" takes the topology past 100000 nodes "
+         "(got 1)"},
     };
     for (const Case &c : cases) {
         std::istringstream is(c.text);
@@ -128,6 +141,12 @@ TEST(FleetTopology, ErrorsCarryLineNumbers)
     std::string error;
     EXPECT_FALSE(fleet::parseTopology(is, error).has_value());
     EXPECT_NE(error.find("no nodes"), std::string::npos);
+
+    // Exactly fleet::maxNodes still parses.
+    std::istringstream full("{\"device\": \"apu\", \"count\": 100000}\n");
+    const auto topo = fleet::parseTopology(full, error);
+    ASSERT_TRUE(topo.has_value()) << error;
+    EXPECT_EQ(topo->size(), fleet::maxNodes);
 }
 
 TEST(FleetTopology, UnreadablePathFailsLoudly)
@@ -332,6 +351,10 @@ TEST(FleetSim, RejectsInvalidConfigs)
     EXPECT_FALSE(fleet::simulateFleet(topo, cfg, error));
     EXPECT_NE(error.find("at least one job"), std::string::npos);
 
+    cfg = tinyConfig(fleet::maxJobs + 1);
+    EXPECT_FALSE(fleet::simulateFleet(topo, cfg, error));
+    EXPECT_EQ(error, "fleet: campaign wants at most 10000000 jobs");
+
     cfg = tinyConfig(10);
     cfg.classes.clear();
     EXPECT_FALSE(fleet::simulateFleet(topo, cfg, error));
@@ -385,6 +408,41 @@ TEST(FleetSim, ShardedTimelineIsBitwiseEqualToSerial)
                       serial->nodes[n].finishSeconds);
         }
     }
+}
+
+TEST(FleetCosting, SurrogateLeavesTheTimingCacheUntouched)
+{
+    // Probing records each cell's cost as an exact anchor; costing
+    // again from those anchors must reproduce the costs without the
+    // simulator, so a timing cache emptied in between stays empty.
+    const std::vector<fleet::ClassDef> defs = fleet::paperClassMix();
+    const std::vector<std::string> kinds =
+        fleet::mixedTopology(4).deviceKinds();
+    const fleet::ProbeFn probe = fixtures::servingProbe(0.02);
+    sim::TimingCache &cache = sim::TimingCache::global();
+    ASSERT_TRUE(cache.enabled());
+    model::Surrogate surrogate;
+    std::string error;
+    const auto probed =
+        fleet::costClasses(defs, kinds, &surrogate, probe, error);
+    ASSERT_TRUE(probed.has_value()) << error;
+    EXPECT_EQ(probed->probed, defs.size() * kinds.size());
+    EXPECT_GT(cache.size(), 0u); // probing does fill the cache
+
+    cache.clear();
+    const u64 empty = cache.contentDigest();
+    const auto served =
+        fleet::costClasses(defs, kinds, &surrogate, probe, error);
+    ASSERT_TRUE(served.has_value()) << error;
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.contentDigest(), empty);
+    EXPECT_EQ(served->probed, 0u);
+    EXPECT_EQ(served->surrogateHits, defs.size() * kinds.size());
+    ASSERT_EQ(served->classes.size(), probed->classes.size());
+    for (size_t i = 0; i < served->classes.size(); ++i)
+        EXPECT_EQ(served->classes[i].secondsByDevice,
+                  probed->classes[i].secondsByDevice)
+            << served->classes[i].name;
 }
 
 TEST(FleetSim, PlacementPoliciesAreDeterministicAndDistinct)

@@ -190,9 +190,9 @@ TEST(PaperShapes, HcBestOfBothWorlds)
                 << wl->name() << " on " << dev.name;
         }
         int hc_lines =
-            SlocManifest::linesChanged(wl->name(), ModelKind::Hc);
+            SlocManifest::linesChanged(wl->alias(), ModelKind::Hc);
         int ocl_lines =
-            SlocManifest::linesChanged(wl->name(), ModelKind::OpenCl);
+            SlocManifest::linesChanged(wl->alias(), ModelKind::OpenCl);
         EXPECT_LT(hc_lines, ocl_lines) << wl->name();
     }
 }

@@ -13,13 +13,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "model/fit.hh"
 #include "model/surrogate.hh"
+
+#include "gate_fixtures.hh"
 
 namespace hetsim::model
 {
@@ -342,6 +347,43 @@ TEST(ModelFit, LoadObservationsRejectsMalformedLines)
     std::string error;
     EXPECT_FALSE(loadObservations(in, "obs.jsonl", error).has_value());
     EXPECT_NE(error.find("obs.jsonl line 1"), std::string::npos);
+}
+
+TEST(ModelFit, HeldOutSimulatedClockGridWithinFivePercent)
+{
+    // Per fit group, hold out every third interior point of the
+    // (items, clocks)-sorted records, so the check interpolates.
+    std::map<GroupKey, std::vector<obs::ObsRecord>> byGroup;
+    for (obs::ObsRecord &rec : fixtures::simulateClockGrid())
+        byGroup[fixtures::groupKeyOf(rec)].push_back(std::move(rec));
+    std::vector<obs::ObsRecord> training, heldout;
+    for (auto &[key, group] : byGroup) {
+        std::sort(group.begin(), group.end(),
+                  [](const obs::ObsRecord &a, const obs::ObsRecord &b) {
+                      return std::tie(a.items, a.coreMhz, a.memMhz) <
+                             std::tie(b.items, b.coreMhz, b.memMhz);
+                  });
+        for (size_t i = 0; i < group.size(); ++i) {
+            const bool interior = i > 0 && i + 1 < group.size();
+            (interior && i % 3 == 1 ? heldout : training)
+                .push_back(group[i]);
+        }
+    }
+    ASSERT_FALSE(heldout.empty());
+
+    Surrogate surrogate;
+    ASSERT_EQ(surrogate.fitFromObservations(training), byGroup.size());
+    double worst = 0.0;
+    for (const obs::ObsRecord &rec : heldout) {
+        const auto pred = surrogate.predict(
+            fixtures::groupKeyOf(rec), static_cast<double>(rec.items),
+            rec.coreMhz, rec.memMhz);
+        ASSERT_TRUE(pred.has_value()) << rec.kernel;
+        const double actual =
+            rec.seconds / static_cast<double>(std::max<u64>(rec.launches, 1));
+        worst = std::max(worst, std::abs(pred->seconds - actual) / actual);
+    }
+    EXPECT_LE(worst, 0.05);
 }
 
 } // namespace

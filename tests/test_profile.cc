@@ -23,6 +23,8 @@
 #include "obs/rollup.hh"
 #include "obs/tracer.hh"
 
+#include "gate_fixtures.hh"
+
 namespace hetsim
 {
 namespace
@@ -199,6 +201,25 @@ TEST(ProfileAnalyzer, AttributionSumsToMakespanOnDenseTimelines)
                          analysis.kindSeconds("link") +
                          analysis.kindSeconds("wait"),
                      analysis.attributedSeconds);
+}
+
+TEST(ProfileAnalyzer, ReportIsByteIdenticalForReversedEvents)
+{
+    // The order spans were recorded in must not matter.
+    const fixtures::Timeline tl = fixtures::queueTimeline(25000);
+    auto report = [&tl](const std::vector<obs::TraceEvent> &events) {
+        obs::ProfileReport r;
+        r.analysis = obs::analyzeSpans(events, tl.tracks);
+        EXPECT_EQ(r.analysis.spansAnalyzed, events.size());
+        EXPECT_LE(r.analysis.attributionError(), 1e-9);
+        r.bottleneck = obs::classifyRun(r.analysis, {});
+        std::ostringstream os;
+        obs::writeProfileJson(os, r);
+        return os.str();
+    };
+    const std::vector<obs::TraceEvent> reversed(tl.events.rbegin(),
+                                                tl.events.rend());
+    EXPECT_EQ(report(tl.events), report(reversed));
 }
 
 TEST(ProfileAnalyzer, EmptyAndDegenerateTimelines)

@@ -1094,5 +1094,60 @@ TEST(ServeStream, SortedResultsAreByteIdenticalAcrossWorkerCounts)
               l4.substr(l4.find("\"status\"")));
 }
 
+TEST(ServeStream, VirtualThroughputScalesWithWorkers)
+{
+    // Every flavour the server routes, fed as a two-tenant (3:1)
+    // stream whose faulted co-execution jobs are sliced by a simulated
+    // service deadline.  The virtual schedule replays simulated
+    // seconds, so the 8-vs-1-worker ratio is exact on any host.
+    const struct
+    {
+        const char *fields;
+        bool faulted;
+    } kMix[] = {
+        {R"("app": "readmem", "model": "opencl", "device": "dgpu")", false},
+        {R"("app": "xsbench", "model": "opencl", "device": "apu")", false},
+        {R"("app": "minife", "model": "openmp", "device": "cpu")", false},
+        {R"("app": "readmem", "model": "hc", "device": "apu")", false},
+        {R"("app": "xsbench", "devices": "cpu+dgpu")", true},
+        {R"("app": "minife", "model": "opencl", "device": "dgpu")", false},
+    };
+    std::ostringstream feed;
+    u64 jobs = 0;
+    for (int rep = 0; rep < 4; ++rep) {
+        for (const auto &flavor : kMix) {
+            ++jobs;
+            feed << "{\"id\": " << jobs << ", " << flavor.fields
+                 << ", \"scale\": 0.05, \"tenant\": \""
+                 << (jobs % 2 ? 'a' : 'b') << "\"";
+            if (flavor.faulted)
+                feed << ", \"faults\": \"transfer:0.2\", \"fault_seed\": "
+                     << 40 + jobs << ", \"service_deadline_ms\": 10";
+            feed << "}\n";
+        }
+    }
+    feed << "end\n";
+
+    auto throughput = [&](u32 workers) {
+        ServerConfig cfg;
+        cfg.workers = workers;
+        cfg.maxPreemptions = 1000; // slice, never expire
+        std::string error;
+        EXPECT_TRUE(cfg.tenants.applyWeights("a:3,b:1", error)) << error;
+        std::istringstream in(feed.str());
+        std::ostringstream live;
+        auto outcome = runStream(in, live, cfg, error);
+        if (!outcome) {
+            ADD_FAILURE() << error;
+            return 0.0;
+        }
+        EXPECT_EQ(outcome->report.completed, jobs) << workers;
+        EXPECT_GT(outcome->report.preemptions, 0u) << workers;
+        return outcome->report.simJobsPerSecond();
+    };
+    const double one = throughput(1);
+    EXPECT_GE(throughput(8), 3.0 * one);
+}
+
 } // namespace
 } // namespace hetsim::serve

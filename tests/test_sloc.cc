@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/sloc.hh"
+#include "core/workload.hh"
 
 namespace hetsim::core
 {
@@ -40,15 +41,18 @@ TEST(Sloc, SlashInCodeIsNotAComment)
 
 TEST(Sloc, ManifestListsAllApps)
 {
-    auto apps = SlocManifest::applications();
+    auto apps = makeAllWorkloads();
     ASSERT_EQ(apps.size(), 5u);
-    EXPECT_EQ(apps[0], "read-benchmark");
-    EXPECT_EQ(apps[4], "miniFE");
+    EXPECT_EQ(apps[0]->name(), "read-benchmark");
+    EXPECT_EQ(apps[4]->name(), "miniFE");
+    EXPECT_EQ(SlocManifest::files(apps[0]->alias(), ir::ModelKind::Hc),
+              std::vector<std::string>{"src/apps/readmem/readmem_hc.cc"});
 }
 
 TEST(Sloc, VariantFilesExistAndCount)
 {
-    for (const std::string &app : SlocManifest::applications()) {
+    for (const auto &wl : makeAllWorkloads()) {
+        const std::string app = wl->alias();
         for (ir::ModelKind model :
              {ir::ModelKind::Serial, ir::ModelKind::OpenMp,
               ir::ModelKind::OpenCl, ir::ModelKind::CppAmp,
@@ -66,7 +70,8 @@ TEST(Sloc, TableIvOrderingHolds)
     // The reproduced Table IV shape: OpenCL needs the most changed
     // lines; the directive/lambda models need far fewer; OpenMP is
     // the smallest change.
-    for (const std::string &app : SlocManifest::applications()) {
+    for (const auto &wl : makeAllWorkloads()) {
+        const std::string app = wl->alias();
         int omp = SlocManifest::linesChanged(app, ir::ModelKind::OpenMp);
         int ocl = SlocManifest::linesChanged(app, ir::ModelKind::OpenCl);
         int amp = SlocManifest::linesChanged(app, ir::ModelKind::CppAmp);
@@ -83,10 +88,8 @@ TEST(Sloc, ReadmemOpenClRoughlyFourTimesEmergingModels)
 {
     // Paper Table IV: readmem OpenCL needs ~4x the lines of C++ AMP
     // and OpenACC.  Our reproduction should keep the >2x spirit.
-    int ocl = SlocManifest::linesChanged("read-benchmark",
-                                         ir::ModelKind::OpenCl);
-    int amp = SlocManifest::linesChanged("read-benchmark",
-                                         ir::ModelKind::CppAmp);
+    int ocl = SlocManifest::linesChanged("readmem", ir::ModelKind::OpenCl);
+    int amp = SlocManifest::linesChanged("readmem", ir::ModelKind::CppAmp);
     EXPECT_GT(static_cast<double>(ocl) / amp, 1.5);
 }
 
